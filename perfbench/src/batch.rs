@@ -2,11 +2,12 @@
 //! `Pipeline::build()` and make one cold exact-MMP `run()`.
 
 use crate::report::Report;
-use crate::stats::median;
+use crate::stats::{median, ms};
 use crate::timed::{MlnCounters, TimedMatcher};
 use crate::trace;
 use crate::world::{blocking_config, digest, digest_of, peak_rss_mb, World};
 use em::{MatchOutcome, MatchSession, MatcherChoice, Scheme};
+use em_net::Response;
 use em_similarity::{FeatureCache, FeatureConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,6 +51,9 @@ const RESPELLED_SHARE: f64 = 0.02;
 /// the match, so one sample would be noisy).
 const MIN_SETUPS: usize = 5;
 
+/// Match-set queries answered after each cold run.
+const QUERIES_PER_RUN: usize = 16;
+
 /// Feature interning plus `Pipeline::build()`: the set-up a user pays
 /// before the first match.
 fn setup(world: &World, matcher: MatcherChoice) -> (MatchSession, Duration, Duration) {
@@ -85,6 +89,19 @@ fn cold_run(session: &mut MatchSession) -> (MatchOutcome, Duration) {
     (outcome, start.elapsed())
 }
 
+/// Answer a match-set query in process, as the server answers `Query`
+/// short of the socket: the sorted match set, encoded as a `Matches`
+/// reply.
+fn query(session: &MatchSession, name: &str) -> Duration {
+    let start = Instant::now();
+    let reply = Response::Matches {
+        session: name.to_owned(),
+        pairs: session.matches().to_sorted_vec(),
+    };
+    std::hint::black_box(reply.encode());
+    start.elapsed()
+}
+
 /// Run the workload for about `seconds` and report its end-to-end
 /// metrics, or, with `traced`, its per-layer metrics.
 pub fn run(spec: &BatchSpec, seed: u64, seconds: f64, traced: bool) -> Report {
@@ -107,6 +124,7 @@ pub fn run(spec: &BatchSpec, seed: u64, seconds: f64, traced: bool) -> Report {
     let start = Instant::now();
     let mut setups = Vec::new();
     let mut matches = Vec::new();
+    let mut queries = Vec::new();
     let mut f1 = Vec::new();
     let mut digests: Vec<String> = Vec::new();
     let mut rep = 0;
@@ -116,6 +134,9 @@ pub fn run(spec: &BatchSpec, seed: u64, seconds: f64, traced: bool) -> Report {
         setups.push(setup_time.as_secs_f64());
         let (outcome, match_time) = cold_run(&mut session);
         matches.push(match_time.as_secs_f64());
+        for _ in 0..QUERIES_PER_RUN {
+            queries.push(ms(query(&session, spec.profile)));
+        }
         let d = digest(&outcome.matches.to_sorted_vec());
         if rep < worlds.len() {
             // Judged below, against the reference digest.
@@ -150,6 +171,7 @@ pub fn run(spec: &BatchSpec, seed: u64, seconds: f64, traced: bool) -> Report {
         report.metric("match_s", median(&matches), "s");
         report.metric("f1", median(&f1), "ratio");
         report.metric("peak_rss_mb", peak_rss_mb(), "MB");
+        report.metric("query_ms_p50", median(&queries), "ms");
         return report;
     }
     let world = &worlds[0];
@@ -171,7 +193,6 @@ pub fn run(spec: &BatchSpec, seed: u64, seconds: f64, traced: bool) -> Report {
     let stats = &traced_outcome.stats;
     let status = session.status();
     let mln = counters.totals();
-    let replay_base = stats.conditioned_probes + stats.probes_replayed;
     report.metric("similarity.features_s", features_time.as_secs_f64(), "s");
     report.metric(
         "blocking.s",
@@ -204,11 +225,6 @@ pub fn run(spec: &BatchSpec, seed: u64, seconds: f64, traced: bool) -> Report {
         "s",
     );
     report.core_counters(stats, status.neighborhoods);
-    report.metric(
-        "core.replay_share",
-        stats.probes_replayed as f64 / replay_base.max(1) as f64,
-        "ratio",
-    );
     report.mln_counters(&mln);
     report.metric(
         "trace.match_s_overhead",

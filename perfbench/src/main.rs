@@ -75,7 +75,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let report = match args.workload.as_str() {
+    let mut report = match args.workload.as_str() {
         "batch-hepth" => batch::run(&batch::HEPTH, args.seed, args.seconds, args.trace),
         "batch-dblp" => batch::run(&batch::DBLP, args.seed, args.seconds, args.trace),
         "serve-churn" => match serve::run(args.seed, args.seconds, args.trace) {
@@ -90,6 +90,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.trace {
+        report.complete(report::PER_LAYER, false);
+    } else {
+        report.complete(report::END_TO_END, true);
+    }
     for failure in &report.failures {
         eprintln!("perfbench: FAILED {failure}");
     }

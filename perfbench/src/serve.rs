@@ -10,13 +10,13 @@
 
 use crate::report::Report;
 use crate::schedule::OpenLoop;
-use crate::stats::{median, percentile};
+use crate::stats::{median, ms, percentile};
 use crate::timed::{MlnCounters, TimedMatcher};
 use crate::trace;
 use crate::world::{digest, peak_rss_mb, pipeline, World};
 use crate::RUN_DIR;
 use em::store::{SNAPSHOT_FILE, WAL_FILE};
-use em::{ChurnOptions, DatasetDelta, MatchOutcome, MatcherChoice, Scheme, UpdateReport};
+use em::{ChurnOptions, DatasetDelta, MatchOutcome, MatcherChoice, RunStats, Scheme, UpdateReport};
 use em_core::{Dataset, Pair};
 use em_net::{Client, Endpoint, NetError, Request, Response, Server, ServerAddr, ShutdownKind};
 use em_serve::{channel_source, ChannelSource, Daemon, Op, ServeConfig, ServeError, StreamFrame};
@@ -260,10 +260,6 @@ fn copy_dir(from: &Path, to: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
 /// Payload bytes of a request on the wire (frame header excluded).
 fn request_bytes(request: &Request) -> u64 {
     request.encode().1.len() as u64
@@ -454,44 +450,89 @@ fn run_pass(
     Ok(pass)
 }
 
-/// Replay the killed daemon's op log library-direct, timing each
-/// `update()` and `run()`.
+/// The killed daemon's op logs replayed library-direct, with each
+/// `update()` and `run()` timed.
 #[derive(Default)]
 struct Replay {
     update_ms: Vec<f64>,
     run_ms: Vec<f64>,
+    /// Seconds of each step that applied one delta: its `update()`
+    /// and the `run()` after it.
+    delta_s: Vec<f64>,
+    /// F1 of each run's match set against the references live then.
+    f1: Vec<f64>,
     reports: Vec<UpdateReport>,
     live_drift: f64,
     runs: Vec<MatchOutcome>,
+    /// Neighborhoods in the cover at each run, summed over the runs.
+    run_neighborhoods: u64,
+    /// The replayed sessions, in `SESSIONS` order.
+    sessions: Vec<em::MatchSession>,
 }
 
-fn replay(initial: &Dataset, ops: &[Op], replayed: &mut Replay) -> em::MatchSession {
-    let mut session = pipeline(initial.clone(), MatcherChoice::MlnExact, Scheme::Mmp)
-        .build()
-        .expect("the serve pipeline is coherent");
-    let live0 = session.dataset().entities.live_count() as f64;
-    for op in ops {
-        match op {
-            Op::Update(delta) => {
-                let _span = trace::span("em.update");
-                let start = Instant::now();
-                let r = session.update(delta);
-                replayed.update_ms.push(ms(start.elapsed()));
-                replayed.reports.push(r);
-                let live = session.dataset().entities.live_count() as f64;
-                replayed.live_drift = replayed.live_drift.max((live - live0).abs() / live0);
-            }
-            Op::ResetWarm => session.reset_warm(),
-            Op::Run => {
-                let _span = trace::span("em.run");
-                let start = Instant::now();
-                let outcome = session.run();
-                replayed.run_ms.push(ms(start.elapsed()));
-                replayed.runs.push(outcome);
+impl Replay {
+    /// Replay every session's op log of `daemon`; each replay must land
+    /// on the match set the session served (`served`, digests).
+    fn logs(
+        world: &World,
+        daemon: &Daemon<ChannelSource>,
+        traffic: &[Traffic],
+        served: &[String],
+        report: &mut Report,
+    ) -> Self {
+        let mut replayed = Self::default();
+        for ((session, t), want) in SESSIONS.iter().zip(traffic).zip(served) {
+            let ops = daemon.op_log(session).expect("admitted");
+            let s = replayed.session(world, &t.initial, ops);
+            let got = digest(&s.matches().to_sorted_vec());
+            report.attempt(&got == want, || {
+                format!("{session}: op-log replay {got} != served {want}")
+            });
+            replayed.sessions.push(s);
+        }
+        replayed
+    }
+
+    fn session(&mut self, world: &World, initial: &Dataset, ops: &[Op]) -> em::MatchSession {
+        let mut session = pipeline(initial.clone(), MatcherChoice::MlnExact, Scheme::Mmp)
+            .build()
+            .expect("the serve pipeline is coherent");
+        let live0 = session.dataset().entities.live_count() as f64;
+        // Updates since the last run, and their time.
+        let (mut updates, mut step) = (0, Duration::ZERO);
+        for op in ops {
+            match op {
+                Op::Update(delta) => {
+                    let _span = trace::span("em.update");
+                    let start = Instant::now();
+                    let r = session.update(delta);
+                    let took = start.elapsed();
+                    updates += 1;
+                    step += took;
+                    self.update_ms.push(ms(took));
+                    self.reports.push(r);
+                    let live = session.dataset().entities.live_count() as f64;
+                    self.live_drift = self.live_drift.max((live - live0).abs() / live0);
+                }
+                Op::ResetWarm => session.reset_warm(),
+                Op::Run => {
+                    let _span = trace::span("em.run");
+                    let start = Instant::now();
+                    let outcome = session.run();
+                    let took = start.elapsed();
+                    self.run_ms.push(ms(took));
+                    if updates == 1 {
+                        self.delta_s.push((step + took).as_secs_f64());
+                    }
+                    (updates, step) = (0, Duration::ZERO);
+                    self.f1.push(world.f1(session.dataset(), &outcome.matches));
+                    self.runs.push(outcome);
+                    self.run_neighborhoods += session.status().neighborhoods;
+                }
             }
         }
+        session
     }
-    session
 }
 
 /// Run the workload and report its end-to-end metrics, or, with
@@ -505,13 +546,14 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Result<Report, String> {
         .collect();
     let dir = PathBuf::from(RUN_DIR).join(format!("serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let result = run_passes(&dir, &traffic, steady, traced);
+    let result = run_passes(&dir, &world, &traffic, steady, traced);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
 
 fn run_passes(
     dir: &Path,
+    world: &World,
     traffic: &[Traffic],
     steady: usize,
     traced: bool,
@@ -532,23 +574,42 @@ fn run_passes(
     let fresh_p50 = median(&untraced.fresh_ms);
 
     if !traced {
-        // The daemon equals a standalone replay of its op log.
+        // The matching one served delta costs and the quality of what
+        // the sessions served, measured on a library-direct replay of
+        // the op logs, free of the open loop's timing.
         let daemon = untraced.daemon.take().expect("pass keeps its daemon");
-        for (session, want) in SESSIONS.iter().zip(&untraced.final_digests) {
-            let replayed = daemon
-                .replay_standalone(session)
-                .map_err(|e| format!("replay {session}: {e}"))?;
-            let got = digest(&replayed.matches().to_sorted_vec());
-            report.attempt(&got == want, || {
-                format!("{session}: standalone replay {got} != served {want}")
-            });
-        }
+        let replayed = Replay::logs(
+            world,
+            &daemon,
+            traffic,
+            &untraced.final_digests,
+            &mut report,
+        );
         drop(daemon);
         report.metric("setup_s", median(&untraced.setup_s), "s");
+        report.metric("match_s", median(&replayed.delta_s), "s");
+        report.metric(
+            "f1",
+            replayed.f1.iter().sum::<f64>() / replayed.f1.len() as f64,
+            "ratio",
+        );
         report.metric("query_ms_p50", median(&untraced.query_ms), "ms");
         report.metric("peak_rss_mb", peak_rss, "MB");
         return Ok(report);
     }
+
+    // The untraced daemon equals a standalone replay of its op log.
+    let daemon = untraced.daemon.take().expect("pass keeps its daemon");
+    for (session, want) in SESSIONS.iter().zip(&untraced.final_digests) {
+        let replayed = daemon
+            .replay_standalone(session)
+            .map_err(|e| format!("replay {session}: {e}"))?;
+        let got = digest(&replayed.matches().to_sorted_vec());
+        report.attempt(&got == want, || {
+            format!("{session}: standalone replay {got} != served {want}")
+        });
+    }
+    drop(daemon);
 
     // Traced: the same stream again through the timing matcher.
     trace::set_enabled(true);
@@ -592,17 +653,16 @@ fn run_passes(
     // Replay the op logs, timing every update and run; the replay must
     // land on the served match sets.
     let daemon = pass.daemon.take().expect("pass keeps its daemon");
-    let mut replayed = Replay::default();
+    let replayed = Replay::logs(world, &daemon, traffic, &pass.final_digests, &mut report);
     let (mut batches, mut frames, mut coalesced) = (0, 0, 0);
     let (mut sheds, mut misses) = (0, 0);
     let mut staleness = Vec::new();
-    for ((session, t), want) in SESSIONS.iter().zip(traffic).zip(&pass.final_digests) {
-        let ops = daemon.op_log(session).expect("admitted");
-        let s = replay(&t.initial, ops, &mut replayed);
-        let got = digest(&s.matches().to_sorted_vec());
-        report.attempt(&got == want, || {
-            format!("{session}: op-log replay {got} != served {want}")
-        });
+    let (mut candidate_pairs, mut neighborhoods, mut recall) = (0, 0, 0.0);
+    for (session, s) in SESSIONS.iter().zip(&replayed.sessions) {
+        let status = s.status();
+        candidate_pairs += status.candidate_pairs;
+        neighborhoods += status.neighborhoods;
+        recall += world.blocking_recall(s.dataset()) / SESSIONS.len() as f64;
         let stats = daemon.stats(session).expect("admitted");
         batches += stats.batches;
         frames += stats.frames_applied;
@@ -614,6 +674,21 @@ fn run_passes(
     drop(daemon);
     trace::set_enabled(false);
     report.spans = trace::take();
+
+    // Blocking and framework work of the replayed runs: the warm path.
+    let mut stats = RunStats::default();
+    for run in &replayed.runs {
+        stats.merge(&run.stats);
+    }
+    let stage_s = |f: fn(&MatchOutcome) -> Duration| {
+        replayed.runs.iter().map(f).sum::<Duration>().as_secs_f64()
+    };
+    report.metric("blocking.s", stage_s(|r| r.timings.blocking), "s");
+    report.metric("blocking.candidate_pairs", candidate_pairs as f64, "count");
+    report.metric("blocking.neighborhoods", neighborhoods as f64, "count");
+    report.metric("blocking.true_pair_recall", recall, "ratio");
+    report.metric("core.plan_s", stage_s(|r| r.timings.planning), "s");
+    report.core_counters(&stats, replayed.run_neighborhoods);
 
     let sum = |f: fn(&UpdateReport) -> u64| replayed.reports.iter().map(f).sum::<u64>() as f64;
     report.metric("session.update_ms_p50", median(&replayed.update_ms), "ms");

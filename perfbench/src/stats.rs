@@ -30,6 +30,11 @@ pub fn median(samples: &[f64]) -> f64 {
     percentile(samples, 50.0).expect("median of an empty sample")
 }
 
+/// A duration in milliseconds.
+pub fn ms(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -66,23 +66,33 @@ impl World {
     /// F1 of `matches` (closed transitively) against the ground truth,
     /// counting only true pairs whose references are both in `dataset`.
     pub fn f1(&self, dataset: &Dataset, matches: &PairSet) -> f64 {
-        let live = |e: EntityId| dataset.entities.is_live(e);
-        let true_pairs = self
-            .truth
-            .true_pairs()
-            .filter(|p| live(p.lo()) && live(p.hi()))
-            .count();
-        em_eval::pairwise_metrics(matches, |p| self.truth.is_match(p), true_pairs).f1()
+        em_eval::pairwise_metrics(
+            matches,
+            |p| self.truth.is_match(p),
+            self.live_true_pairs(dataset),
+        )
+        .f1()
     }
 
     /// Candidate pairs of a blocked `dataset` that are true pairs ÷ true
-    /// pairs: the recall ceiling blocking leaves the matcher.
+    /// pairs whose references are both in `dataset`: the recall ceiling
+    /// blocking leaves the matcher.
     pub fn blocking_recall(&self, dataset: &Dataset) -> f64 {
         let co_blocked = dataset
             .candidate_pairs()
             .filter(|&(p, _)| self.truth.is_match(p))
             .count();
-        co_blocked as f64 / self.truth.true_pair_count().max(1) as f64
+        co_blocked as f64 / self.live_true_pairs(dataset).max(1) as f64
+    }
+
+    /// True pairs whose references are both live in `dataset`. Entity
+    /// ids are the world's: churn scripts without re-adds keep them.
+    fn live_true_pairs(&self, dataset: &Dataset) -> usize {
+        let live = |e: EntityId| dataset.entities.is_live(e);
+        self.truth
+            .true_pairs()
+            .filter(|p| live(p.lo()) && live(p.hi()))
+            .count()
     }
 }
 
