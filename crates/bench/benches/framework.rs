@@ -5,9 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use em_bench::prepare;
 use em_core::evidence::Evidence;
-use em_core::framework::{mmp_with_order, no_mp_baseline, smp_with_order, MmpConfig};
+use em_core::framework::{
+    mmp_with_order, no_mp_baseline, smp_with_order, DependencyIndex, MmpConfig,
+};
 use em_core::testing::paper_example;
-use em_parallel::{execute_smp, ParallelConfig};
+use em_shard::{estimate_costs, shard_smp_planned_opts, RuntimeOptions, ShardPlan, SplitPolicy};
 use std::hint::black_box;
 
 fn bench_paper_example(c: &mut Criterion) {
@@ -59,18 +61,26 @@ fn bench_schemes_on_workload(c: &mut Criterion) {
             ))
         })
     });
+    let index = DependencyIndex::build(&w.dataset, &w.cover);
+    let plan = ShardPlan::build(
+        &index,
+        4,
+        &estimate_costs(&w.dataset, &w.cover),
+        SplitPolicy::Split,
+    );
     group.bench_with_input(
-        BenchmarkId::new("parallel_smp_4w", w.cover.len()),
+        BenchmarkId::new("sharded_smp_4", w.cover.len()),
         &w,
         |b, w| {
             b.iter(|| {
-                black_box(execute_smp(
+                black_box(shard_smp_planned_opts(
                     &matcher,
                     &w.dataset,
                     &w.cover,
-                    None,
+                    &index,
+                    &plan,
                     &none,
-                    &ParallelConfig { workers: 4 },
+                    &RuntimeOptions::default(),
                 ))
             })
         },

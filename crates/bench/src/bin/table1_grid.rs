@@ -1,11 +1,11 @@
 //! Table 1: grid running times on DBLP-BIG — single machine vs a
 //! 30-machine grid, for NO-MP, SMP, MMP — through `em::Pipeline`.
 //!
-//! The parallel backend runs with real worker threads and records every
-//! neighborhood's cost; the grid simulator then replays those costs onto
-//! `m` virtual machines with per-round random assignment and job-setup
-//! overhead (the two effects behind the paper's ~11× — not 30× —
-//! speedup).
+//! The sharded backend runs each scheme with one driver thread per shard
+//! and records every neighborhood evaluation per epoch; the grid
+//! simulator then replays each epoch's costs onto `m` virtual machines
+//! as one round, with random assignment and job-setup overhead (the two
+//! effects behind the paper's ~11× — not 30× — speedup).
 //!
 //! Both placement policies are simulated: the paper's random
 //! assignment (whose skew explains the 11× ≠ 30× gap) and the LPT
@@ -19,29 +19,33 @@
 //! for both plans, side by side.
 //!
 //! Usage:
-//!   table1_grid [--scale 0.002] [--machines 30] [--workers N]
-//!               [--overhead-secs 20] [--dataset dblp-big] [--shards 4]
+//!   table1_grid [--scale 0.002] [--machines 30] [--shards 4]
+//!               [--overhead-secs 0.05] [--dataset dblp-big]
 
 use em::{Backend, BackendReport, Evidence, MatcherChoice, Pipeline, Scheme, SplitPolicy};
 use em_bench::{prepare, Flags, Workload};
-use em_core::framework::{DependencyIndex, MmpConfig};
+use em_core::framework::{DependencyIndex, EvalTrace, MmpConfig};
 use em_eval::{fmt_duration, fmt_ratio, Table};
-use em_parallel::{simulate, Assignment, GridParams, ParallelConfig, RoundTrace};
-use em_shard::{estimate_costs, shard_mmp_planned, ShardPlan};
+use em_parallel::{simulate, Assignment, GridParams};
+use em_shard::{estimate_costs, shard_mmp_planned_opts, RuntimeOptions, ShardPlan};
 use std::time::Duration;
 
-fn parallel_trace(w: &Workload, scheme: Scheme, workers: usize) -> RoundTrace {
+/// The per-epoch evaluation traces of one sharded run of `scheme`.
+fn epoch_traces(w: &Workload, scheme: Scheme, shards: usize) -> Vec<EvalTrace> {
     let outcome = Pipeline::new(w.dataset.clone())
         .cover(w.cover.clone())
         .matcher(MatcherChoice::MlnExact)
         .scheme(scheme)
-        .backend(Backend::Parallel { workers })
+        .backend(Backend::Sharded {
+            shards,
+            split_policy: SplitPolicy::Split,
+        })
         .build()
-        .expect("exact MLN on the parallel backend is coherent")
+        .expect("--shards must be at least 1")
         .run();
     match outcome.backend {
-        BackendReport::Parallel { trace, .. } => trace,
-        other => panic!("expected a parallel trace, got {other:?}"),
+        BackendReport::Sharded(report) => report.epoch_traces,
+        other => panic!("expected a sharded report, got {other:?}"),
     }
 }
 
@@ -62,7 +66,7 @@ fn run_replan_section(w: &Workload, shards: usize) {
         SplitPolicy::Split,
     );
     let run = |plan: &ShardPlan| {
-        shard_mmp_planned(
+        shard_mmp_planned_opts(
             &w.mln_matcher(),
             &w.dataset,
             &w.cover,
@@ -71,6 +75,7 @@ fn run_replan_section(w: &Workload, shards: usize) {
             &none,
             &mmp_config,
             None,
+            &RuntimeOptions::default(),
         )
     };
     let (first, first_report) = run(&initial);
@@ -120,7 +125,6 @@ fn main() {
     let scale: f64 = flags.get("scale", 0.002);
     let machines: usize = flags.get("machines", 30);
     let overhead = Duration::from_secs_f64(flags.get("overhead-secs", 0.05));
-    let workers: usize = flags.get("workers", ParallelConfig::default().workers);
     let shards: usize = flags.get("shards", 4usize);
 
     let w = prepare(&dataset, scale, None);
@@ -132,24 +136,13 @@ fn main() {
         w.candidate_pairs
     );
 
-    let runs: Vec<(&str, RoundTrace)> = vec![
-        ("NO-MP", parallel_trace(&w, Scheme::NoMp, workers)),
-        ("SMP", parallel_trace(&w, Scheme::Smp, workers)),
-        ("MMP", parallel_trace(&w, Scheme::Mmp, workers)),
-    ];
+    let runs: Vec<Vec<EvalTrace>> = [Scheme::NoMp, Scheme::Smp, Scheme::Mmp]
+        .into_iter()
+        .map(|scheme| epoch_traces(&w, scheme, shards))
+        .collect();
 
     // Table 1 shape: rows = deployment, columns = schemes.
     let mut table = Table::new(["", "NO-MP", "SMP", "MMP"]);
-    let single: Vec<String> = runs
-        .iter()
-        .map(|(_, trace)| fmt_duration(trace.total_work()))
-        .collect();
-    table.push_row([
-        "Single machine".to_owned(),
-        single[0].clone(),
-        single[1].clone(),
-        single[2].clone(),
-    ]);
     let random_params = GridParams {
         machines,
         per_round_overhead: overhead,
@@ -161,12 +154,18 @@ fn main() {
     };
     let random: Vec<_> = runs
         .iter()
-        .map(|(_, trace)| simulate(trace, &random_params))
+        .map(|traces| simulate(traces, &random_params))
         .collect();
     let lpt: Vec<_> = runs
         .iter()
-        .map(|(_, trace)| simulate(trace, &lpt_params))
+        .map(|traces| simulate(traces, &lpt_params))
         .collect();
+    table.push_row([
+        "Single machine".to_owned(),
+        fmt_duration(random[0].total_work),
+        fmt_duration(random[1].total_work),
+        fmt_duration(random[2].total_work),
+    ]);
     table.push_row([
         format!("Grid ({machines} machines, random)"),
         fmt_duration(random[0].makespan),
@@ -204,20 +203,18 @@ fn main() {
         fmt_ratio(lpt[2].mean_skew),
     ]);
     table.push_row([
-        "Rounds".to_owned(),
+        "Rounds (epochs)".to_owned(),
         random[0].rounds.to_string(),
         random[1].rounds.to_string(),
         random[2].rounds.to_string(),
     ]);
     println!(
         "\nTable 1 — running times: single machine vs simulated grid \
-         (overhead {}/round; threaded run used {workers} workers; \
+         (overhead {}/round; traces from {shards}-shard runs, one round per epoch; \
          random = the paper's placement, LPT = em_shard's balancer)",
         fmt_duration(overhead)
     );
     print!("{}", table.render());
 
-    if shards > 0 {
-        run_replan_section(&w, shards);
-    }
+    run_replan_section(&w, shards);
 }

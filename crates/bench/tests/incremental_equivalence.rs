@@ -5,15 +5,14 @@
 //! index scheduler, per-neighborhood probe memos with isolated-pair
 //! elision — must be *invisible* in the outputs: for every generated
 //! world, incremental MMP is byte-identical to full-recompute MMP and
-//! never issues more conditioned probes, and the parallel executors hit
-//! the same fixpoint as the sequential schemes.
+//! never issues more conditioned probes. (The sharded backend's
+//! equivalence with the sequential schemes is `shard_equivalence.rs`'s.)
 
 use em_blocking::{block_dataset_with_features, BlockingConfig, SimilarityKernel};
-use em_core::framework::{mmp_with_order, smp_with_order, MmpConfig};
+use em_core::framework::{mmp_with_order, MmpConfig};
 use em_core::{Cover, Dataset, Evidence};
 use em_datagen::{generate, DatasetProfile};
 use em_mln::{MlnMatcher, MlnModel};
-use em_parallel::{execute_mmp, execute_smp, ParallelConfig};
 use proptest::prelude::*;
 
 /// Generate and block a tiny world (profile picked by parity, seed free).
@@ -41,10 +40,6 @@ fn world(seed: u64) -> (Dataset, Cover, MlnMatcher) {
 
 // Engine-hook shims (the plain free functions are deprecated in favour
 // of `em::Pipeline`; these property tests target the engines).
-fn smp(matcher: &MlnMatcher, ds: &Dataset, cover: &Cover, ev: &Evidence) -> em_core::MatchOutput {
-    smp_with_order(matcher, ds, cover, ev, None)
-}
-
 fn mmp(
     matcher: &MlnMatcher,
     ds: &Dataset,
@@ -74,24 +69,5 @@ proptest! {
             incr.stats.conditioned_probes + incr.stats.probes_replayed,
             full.stats.conditioned_probes,
             "seed {}: probe ledger must balance", seed);
-    }
-
-    #[test]
-    fn parallel_schemes_reach_the_sequential_fixpoint_on_datagen_worlds(seed in 0u64..10_000) {
-        let (ds, cover, matcher) = world(seed);
-        let none = Evidence::none();
-        let pconfig = ParallelConfig { workers: 3 };
-
-        let seq_smp = smp(&matcher, &ds, &cover, &none);
-        let (par_smp, _) = execute_smp(&matcher, &ds, &cover, None, &none, &pconfig);
-        prop_assert_eq!(&par_smp.matches, &seq_smp.matches, "seed {}: SMP", seed);
-
-        let seq_mmp = mmp(&matcher, &ds, &cover, &none, &MmpConfig::default());
-        let (par_mmp, _) = execute_mmp(
-            &matcher, &ds, &cover, None, &none, &MmpConfig::default(), &pconfig,
-        );
-        prop_assert_eq!(&par_mmp.matches, &seq_mmp.matches, "seed {}: MMP", seed);
-        prop_assert!(seq_smp.matches.is_subset(&seq_mmp.matches),
-            "seed {}: SMP ⊆ MMP must hold", seed);
     }
 }

@@ -6,23 +6,24 @@
 //! oversized components, per-shard drivers with epoch-fenced delta
 //! exchange, coordinator-side message closure and promotion — must be
 //! *invisible* in the outputs: for every generated world and every
-//! shard count, `shard_smp`/`shard_mmp` are byte-identical to the
+//! shard count, sharded NO-MP, SMP and MMP are byte-identical to the
 //! single-threaded schemes, and the incremental probe ledger balances
 //! against the full-recompute arm of the same partition.
 
 use em_bench::prepare;
 use em_blocking::{block_dataset_with_features, BlockingConfig, SimilarityKernel};
 use em_core::cover::NeighborhoodId;
-use em_core::framework::DependencyIndex;
-use em_core::framework::{mmp_with_order, smp_with_order, MmpConfig};
+use em_core::framework::{
+    mmp_with_order, no_mp_baseline, smp_with_order, DependencyIndex, EvalTrace, MmpConfig,
+};
 use em_core::MatchOutput;
 use em_core::{Cover, Dataset, Evidence};
 use em_datagen::{generate, DatasetProfile};
 use em_mln::{MlnMatcher, MlnModel};
-use em_parallel::{simulate, Assignment, EvalRecord, GridParams, RoundTrace};
+use em_parallel::{simulate, Assignment, GridParams};
 use em_shard::{
-    estimate_costs, shard_mmp_planned, shard_smp_planned, ShardConfig, ShardPlan, ShardReport,
-    SplitPolicy,
+    estimate_costs, shard_mmp_planned_opts, shard_no_mp_planned_opts, shard_smp_planned_opts,
+    RuntimeOptions, ShardPlan, ShardReport, SplitPolicy,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -66,39 +67,37 @@ fn mmp(
     mmp_with_order(matcher, ds, cover, ev, config, None)
 }
 
-fn shard_smp(
-    matcher: &MlnMatcher,
-    ds: &Dataset,
-    cover: &Cover,
-    ev: &Evidence,
-    config: &ShardConfig,
-) -> (MatchOutput, ShardReport) {
-    let index = DependencyIndex::build(ds, cover);
-    let plan = ShardPlan::build(
-        &index,
-        config.shards,
-        &estimate_costs(ds, cover),
-        config.policy,
-    );
-    shard_smp_planned(matcher, ds, cover, &index, &plan, ev)
+/// Which sharded entry point [`sharded`] calls.
+#[derive(Debug, Clone, Copy)]
+enum Scheme {
+    NoMp,
+    Smp,
+    Mmp,
 }
 
-fn shard_mmp(
+/// The per-scheme entry points with one shape: every run builds its
+/// index and plan from estimates, as a fresh session does.
+#[allow(clippy::too_many_arguments)]
+fn sharded(
+    scheme: Scheme,
     matcher: &MlnMatcher,
     ds: &Dataset,
     cover: &Cover,
     ev: &Evidence,
     mmp_config: &MmpConfig,
-    config: &ShardConfig,
+    shards: usize,
+    policy: SplitPolicy,
 ) -> (MatchOutput, ShardReport) {
     let index = DependencyIndex::build(ds, cover);
-    let plan = ShardPlan::build(
-        &index,
-        config.shards,
-        &estimate_costs(ds, cover),
-        config.policy,
-    );
-    shard_mmp_planned(matcher, ds, cover, &index, &plan, ev, mmp_config, None)
+    let plan = ShardPlan::build(&index, shards, &estimate_costs(ds, cover), policy);
+    let opts = RuntimeOptions::default();
+    match scheme {
+        Scheme::NoMp => shard_no_mp_planned_opts(matcher, ds, cover, &plan, ev, &opts),
+        Scheme::Smp => shard_smp_planned_opts(matcher, ds, cover, &index, &plan, ev, &opts),
+        Scheme::Mmp => shard_mmp_planned_opts(
+            matcher, ds, cover, &index, &plan, ev, mmp_config, None, &opts,
+        ),
+    }
 }
 
 proptest! {
@@ -108,23 +107,36 @@ proptest! {
     fn sharded_runs_equal_the_single_machine_fixpoint(seed in 0u64..10_000) {
         let (ds, cover, matcher) = world(seed);
         let none = Evidence::none();
-        let seq_mmp = mmp(&matcher, &ds, &cover, &none, &MmpConfig::default());
+        let mmp_config = MmpConfig::default();
+        let seq_no_mp = no_mp_baseline(&matcher, &ds, &cover, &none);
         let seq_smp = smp(&matcher, &ds, &cover, &none);
+        let seq_mmp = mmp(&matcher, &ds, &cover, &none, &mmp_config);
+        prop_assert!(seq_smp.matches.is_subset(&seq_mmp.matches),
+            "seed {}: SMP ⊆ MMP must hold", seed);
         for k in [1usize, 2, 4, 7] {
-            let config = ShardConfig::with_shards(k);
-            let (out, report) = shard_mmp(
-                &matcher, &ds, &cover, &none, &MmpConfig::default(), &config,
-            );
-            prop_assert_eq!(&out.matches, &seq_mmp.matches,
-                "seed {} k {}: sharded MMP diverged", seed, k);
-            prop_assert!(report.epochs >= 2, "seed {} k {}: missing confirm epoch", seed, k);
-            let (out_smp, _) = shard_smp(&matcher, &ds, &cover, &none, &config);
-            prop_assert_eq!(&out_smp.matches, &seq_smp.matches,
-                "seed {} k {}: sharded SMP diverged", seed, k);
+            for (scheme, expected) in [
+                (Scheme::NoMp, &seq_no_mp),
+                (Scheme::Smp, &seq_smp),
+                (Scheme::Mmp, &seq_mmp),
+            ] {
+                let (out, report) = sharded(
+                    scheme, &matcher, &ds, &cover, &none, &mmp_config, k, SplitPolicy::Split,
+                );
+                prop_assert_eq!(&out.matches, &expected.matches,
+                    "seed {} k {}: sharded {:?} diverged", seed, k, scheme);
+                if !matches!(scheme, Scheme::NoMp) {
+                    prop_assert!(report.epochs >= 2,
+                        "seed {} k {}: {:?} missing confirm epoch", seed, k, scheme);
+                }
+                let traced: usize = report.epoch_traces.iter().map(Vec::len).sum();
+                prop_assert_eq!(traced as u64, out.stats.neighborhoods_processed,
+                    "seed {} k {}: {:?} trace misses evaluations", seed, k, scheme);
+            }
         }
         // The strict-locality policy reaches the same fixpoint too.
-        let pin = ShardConfig { shards: 4, policy: SplitPolicy::Pin };
-        let (out_pin, _) = shard_mmp(&matcher, &ds, &cover, &none, &MmpConfig::default(), &pin);
+        let (out_pin, _) = sharded(
+            Scheme::Mmp, &matcher, &ds, &cover, &none, &mmp_config, 4, SplitPolicy::Pin,
+        );
         prop_assert_eq!(&out_pin.matches, &seq_mmp.matches, "seed {}: Pin diverged", seed);
     }
 
@@ -136,10 +148,11 @@ proptest! {
         // scheduler maintains.
         let (ds, cover, matcher) = world(seed);
         let none = Evidence::none();
-        let config = ShardConfig::with_shards(4);
-        let (incr, _) = shard_mmp(&matcher, &ds, &cover, &none, &MmpConfig::default(), &config);
-        let full_cfg = MmpConfig { incremental: false, ..Default::default() };
-        let (full, _) = shard_mmp(&matcher, &ds, &cover, &none, &full_cfg, &config);
+        let run = |config: &MmpConfig| {
+            sharded(Scheme::Mmp, &matcher, &ds, &cover, &none, config, 4, SplitPolicy::Split).0
+        };
+        let incr = run(&MmpConfig::default());
+        let full = run(&MmpConfig { incremental: false, ..Default::default() });
         prop_assert_eq!(&incr.matches, &full.matches, "seed {}: arms diverged", seed);
         prop_assert!(incr.stats.conditioned_probes <= full.stats.conditioned_probes,
             "seed {}: incremental issued more probes ({} > {})",
@@ -164,28 +177,25 @@ fn lpt_grid_simulation_matches_a_real_shard_run() {
     let w = prepare("hepth", 0.005, Some(7));
     let matcher = w.mln_matcher();
     let k = 4;
-    let (out, report) = shard_mmp(
+    let (out, report) = sharded(
+        Scheme::Mmp,
         &matcher,
         &w.dataset,
         &w.cover,
         &Evidence::none(),
         &MmpConfig::default(),
-        &ShardConfig::with_shards(k),
+        k,
+        SplitPolicy::Split,
     );
     assert!(!out.matches.is_empty(), "workload must produce matches");
 
-    let round: Vec<EvalRecord> = report
+    let round: EvalTrace = report
         .neighborhood_costs
         .iter()
         .enumerate()
-        .map(|(i, &cost)| EvalRecord {
-            neighborhood: NeighborhoodId(i as u32),
-            cost: Duration::from_micros(cost),
-        })
+        .map(|(i, &cost)| (NeighborhoodId(i as u32), Duration::from_micros(cost)))
         .collect();
-    let trace = RoundTrace {
-        rounds: vec![round],
-    };
+    let trace = vec![round];
     let params = GridParams {
         machines: k,
         per_round_overhead: Duration::ZERO,

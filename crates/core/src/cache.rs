@@ -7,14 +7,14 @@
 //!   for the "same pair examined by many overlapping contexts" pattern:
 //!   blocking canopies overlap, covers overlap, and MMP re-examines pairs
 //!   across rounds. Shards keep lock contention negligible when the cache
-//!   is shared read-mostly across `em-parallel` workers.
+//!   is shared read-mostly across `em-shard` driver threads.
 //!
 //! * [`CachedMatcher`] — a transparent memoizing wrapper around any
 //!   [`Matcher`] / [`ProbabilisticMatcher`]. Matchers are deterministic
 //!   functions of `(view, evidence)`, so their outputs — base match sets
 //!   and per-pair conditioned probe results — can be replayed from a
 //!   fingerprint instead of re-running inference. Every scheme (NO-MP,
-//!   SMP, MMP, their parallel variants) evaluates neighborhoods against
+//!   SMP, MMP, their sharded variants) evaluates neighborhoods against
 //!   evidence snapshots that overlap heavily across schemes and rounds;
 //!   the wrapper turns each repeat into an O(1) lookup. Soundness is
 //!   untouched: on a fingerprint hit the returned set is byte-identical

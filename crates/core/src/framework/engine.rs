@@ -24,9 +24,8 @@
 //! `delta(M+, M)` is non-decreasing in `M+` — so a promotion that fires
 //! early is still sound, and one that is missed is retried when the
 //! missing evidence arrives (absorb marks the affected messages dirty).
-//! The fixpoint is therefore the same as the sequential run's, which is
-//! exactly the consistency argument the round-based parallel executor
-//! already relies on.
+//! The fixpoint is therefore the same as the sequential run's: the
+//! consistency theorems make it independent of evaluation order.
 
 use crate::cover::{Cover, NeighborhoodId};
 use crate::dataset::Dataset;
@@ -38,7 +37,7 @@ use std::time::{Duration, Instant};
 use super::certificates::{CertificateBank, CertificatePool, CertificateSet};
 use super::mmp::{
     compute_maximal, compute_maximal_certified, mark_dirty_around, promote_dirty, MemoBank,
-    MemoPool, MessageStore, MmpConfig, ProbeMemo,
+    MemoPool, MessageStore, MmpConfig, ProbeMemo, WarmSeed,
 };
 use super::{DependencyIndex, RunStats, Worklist};
 
@@ -53,7 +52,8 @@ enum IndexSource<'i> {
 }
 
 /// Per-neighborhood evaluation costs recorded by a driver when tracing
-/// is enabled (feeds the grid simulator's validation path).
+/// is enabled (a sharded run keeps one per epoch; the Table 1 grid
+/// simulator replays them).
 pub type EvalTrace = Vec<(NeighborhoodId, Duration)>;
 
 /// Shared non-MMP state of both drivers.
@@ -150,6 +150,10 @@ impl<'a> DriverCore<'a> {
         }
     }
 
+    fn take_trace(&mut self) -> EvalTrace {
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
     fn record(&mut self, id: NeighborhoodId, started: Option<Instant>) {
         if let (Some(trace), Some(t0)) = (&mut self.trace, started) {
             trace.push((id, t0.elapsed()));
@@ -234,10 +238,10 @@ impl<'a> SmpDriver<'a> {
         self.core.trace.get_or_insert_with(Vec::new);
     }
 
-    /// The recorded evaluation costs so far (empty unless
-    /// [`SmpDriver::enable_trace`] was called).
+    /// The evaluation costs recorded since the last call (empty unless
+    /// [`SmpDriver::enable_trace`] was called; tracing stays on).
     pub fn take_trace(&mut self) -> EvalTrace {
-        self.core.trace.take().unwrap_or_default()
+        self.core.take_trace()
     }
 
     /// Absorb a cross-shard delta: union new pairs into the replica and
@@ -453,10 +457,10 @@ impl<'a> MmpDriver<'a> {
         self.core.trace.get_or_insert_with(Vec::new);
     }
 
-    /// The recorded evaluation costs so far (empty unless
-    /// [`MmpDriver::enable_trace`] was called).
+    /// The evaluation costs recorded since the last call (empty unless
+    /// [`MmpDriver::enable_trace`] was called; tracing stays on).
     pub fn take_trace(&mut self) -> EvalTrace {
-        self.core.trace.take().unwrap_or_default()
+        self.core.take_trace()
     }
 
     /// Seed one neighborhood's probe memo directly (the caller withdrew
@@ -472,6 +476,19 @@ impl<'a> MmpDriver<'a> {
     /// succeeded; see the bank's key discipline).
     pub fn seed_certificates(&mut self, id: NeighborhoodId, set: CertificateSet) {
         self.certs.put(id, set);
+    }
+
+    /// Apply a [`WarmSeed`] withdrawn by [`super::WarmStart::withdraw`]:
+    /// seed its probe memos and certificates, and start only its active
+    /// neighborhoods ([`MmpDriver::seed_worklist`]).
+    pub fn seed_warm(&mut self, seed: WarmSeed) {
+        self.seed_worklist(&seed.active);
+        for (id, memo) in seed.memos {
+            self.seed_memo(id, memo);
+        }
+        for (id, set) in seed.certs {
+            self.seed_certificates(id, set);
+        }
     }
 
     /// Replace the driver's (empty) message store with a previous

@@ -429,7 +429,7 @@ impl MemoPool {
     }
 
     /// Whether eviction can ever run; the unbounded default (every
-    /// sequential and parallel run unless configured otherwise) skips
+    /// sequential and sharded run unless configured otherwise) skips
     /// all LRU bookkeeping on the hot path.
     fn bounded(&self) -> bool {
         self.capacity != usize::MAX
@@ -446,9 +446,8 @@ impl MemoPool {
         memo
     }
 
-    /// Read access to neighborhood `id`'s memo (parallel workers clone
-    /// their private working copy from this).
-    pub fn get(&self, id: NeighborhoodId) -> &ProbeMemo {
+    #[cfg(test)]
+    fn get(&self, id: NeighborhoodId) -> &ProbeMemo {
         &self.memos[id.index()]
     }
 
@@ -540,6 +539,61 @@ impl WarmStart {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Withdraw the banked memos and certificates for the neighborhoods
+    /// `ids` of `cover` and sort each view three ways:
+    ///
+    /// * **identical** — quiescent at the previous fixpoint and its
+    ///   messages are in the carried store: seed its memo and skip it.
+    ///   Its certificates ride along so a later routed delta can still
+    ///   elide probes (and so the run's final banking re-deposits them);
+    /// * **grown** (or tainted) — must re-evaluate, but probes in
+    ///   components no change reaches replay from the seeded memo, and
+    ///   touched probes whose certificate gap survives the delta's
+    ///   footprint replay too;
+    /// * **miss** — re-evaluate cold.
+    ///
+    /// Certificates are withdrawn only where the memo withdrawal
+    /// succeeds (the certificate bank's key discipline). The store is not
+    /// touched: a sequential driver adopts it with
+    /// [`super::MmpDriver::warm_store`], a sharded coordinator owns it.
+    pub fn withdraw(
+        &mut self,
+        dataset: &Dataset,
+        cover: &Cover,
+        ids: impl IntoIterator<Item = NeighborhoodId>,
+    ) -> WarmSeed {
+        let mut seed = WarmSeed::default();
+        for id in ids {
+            let view = cover.view(dataset, id);
+            match self.bank.withdraw_grown(&view, self.entity_floor) {
+                Some((memo, identical)) => {
+                    seed.memos.push((id, memo));
+                    if let Some(set) = self.certs.withdraw_grown(&view, self.entity_floor) {
+                        seed.certs.push((id, set));
+                    }
+                    if !identical {
+                        seed.active.push(id);
+                    }
+                }
+                None => seed.active.push(id),
+            }
+        }
+        seed
+    }
+}
+
+/// One driver's slice of a [`WarmStart`], withdrawn by
+/// [`WarmStart::withdraw`] and applied with
+/// [`super::MmpDriver::seed_warm`].
+#[derive(Debug, Default)]
+pub struct WarmSeed {
+    /// Probe memos of the identical and grown views.
+    pub memos: Vec<(NeighborhoodId, ProbeMemo)>,
+    /// Score-gap certificates of the views whose memo was withdrawn.
+    pub certs: Vec<(NeighborhoodId, CertificateSet)>,
+    /// The initial worklist: grown views and bank misses.
+    pub active: Vec<NeighborhoodId>,
 }
 
 /// Cross-run store of per-neighborhood [`ProbeMemo`]s, keyed by the

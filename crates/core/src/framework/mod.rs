@@ -43,11 +43,11 @@ pub use mmp::mmp;
 pub use mmp::{
     compute_maximal, compute_maximal_certified, compute_maximal_incremental, mark_dirty_around,
     mmp_with_order, promote_dirty, MemoBank, MemoPool, MessageStore, MmpConfig, ProbeMemo,
-    WarmStart, DEFAULT_CERTIFICATE_SLACK,
+    WarmSeed, WarmStart, DEFAULT_CERTIFICATE_SLACK,
 };
 #[allow(deprecated)]
 pub use nomp::no_mp;
-pub use nomp::no_mp_baseline;
+pub use nomp::{no_mp_baseline, no_mp_evaluate};
 #[allow(deprecated)]
 pub use smp::smp;
 pub use smp::smp_with_order;

@@ -6,7 +6,8 @@
 //! restriction of the full run) but misses every cross-neighborhood
 //! inference.
 
-use crate::cover::Cover;
+use super::RunStats;
+use crate::cover::{Cover, NeighborhoodId};
 use crate::dataset::Dataset;
 use crate::evidence::Evidence;
 use crate::matcher::{MatchOutput, Matcher};
@@ -43,20 +44,7 @@ pub fn no_mp_baseline(
     let start = Instant::now();
     let mut out = MatchOutput::default();
     for id in cover.ids() {
-        let view = cover.view(dataset, id);
-        let local_evidence = Evidence::untracked(
-            view.restrict(&evidence.positive),
-            view.restrict(&evidence.negative),
-        );
-        let undecided = view
-            .candidate_pairs()
-            .iter()
-            .filter(|(p, _)| !local_evidence.positive.contains(*p))
-            .count() as u64;
-        let matches = matcher.match_view(&view, &local_evidence);
-        out.stats.matcher_calls += 1;
-        out.stats.neighborhoods_processed += 1;
-        out.stats.active_pairs_evaluated += undecided;
+        let matches = no_mp_evaluate(matcher, dataset, cover, id, evidence, &mut out.stats);
         out.matches.union_with(&matches);
     }
     // The matcher echoes positive evidence back per-view; keep the output
@@ -68,4 +56,33 @@ pub fn no_mp_baseline(
     }
     out.stats.wall_time = start.elapsed();
     out
+}
+
+/// One NO-MP evaluation: `matcher` on neighborhood `id` against the
+/// caller's `evidence` restricted to its view, counted into `stats`.
+/// [`no_mp_baseline`] runs it over the whole cover; a shard runs it over
+/// its members.
+pub fn no_mp_evaluate(
+    matcher: &dyn Matcher,
+    dataset: &Dataset,
+    cover: &Cover,
+    id: NeighborhoodId,
+    evidence: &Evidence,
+    stats: &mut RunStats,
+) -> PairSet {
+    let view = cover.view(dataset, id);
+    let local_evidence = Evidence::untracked(
+        view.restrict(&evidence.positive),
+        view.restrict(&evidence.negative),
+    );
+    let undecided = view
+        .candidate_pairs()
+        .iter()
+        .filter(|(p, _)| !local_evidence.positive.contains(*p))
+        .count() as u64;
+    let matches = matcher.match_view(&view, &local_evidence);
+    stats.matcher_calls += 1;
+    stats.neighborhoods_processed += 1;
+    stats.active_pairs_evaluated += undecided;
+    matches
 }

@@ -104,10 +104,10 @@ pub struct RunStats {
 
 impl RunStats {
     /// Merge counters from another run. This is the **one** aggregation
-    /// rule every backend uses — the sequential drivers, the round-based
-    /// parallel executor, and the sharded runtime all combine per-worker
-    /// stats through it: counters sum, wall time takes the max (workers
-    /// overlap), rounds take the max (workers share the round loop).
+    /// rule every backend uses — the sequential drivers and the sharded
+    /// runtime combine per-driver stats through it: counters sum, wall
+    /// time takes the max (drivers overlap), rounds take the max (drivers
+    /// share the epoch loop).
     /// Backends that know the true wall time / round count of the whole
     /// run fix them up afterwards with [`RunStats::finalize`].
     ///
@@ -155,7 +155,7 @@ impl RunStats {
     }
 
     /// Overwrite the run-level fields after a [`RunStats::merge`] fold:
-    /// the coordinator (parallel reduce loop, shard epoch loop, session)
+    /// the coordinator (shard epoch loop, session)
     /// knows the real wall clock and round/epoch count; worker-side
     /// values were only placeholders.
     pub fn finalize(&mut self, wall_time: Duration, rounds: u64) {

@@ -6,11 +6,17 @@
 //! neighborhoods to machines ("some nodes get multiple bigger than
 //! average neighborhoods"). Both effects are structural, not
 //! Hadoop-specific, so they can be simulated faithfully: replay the
-//! measured per-neighborhood costs of a real (threaded) run onto `m`
+//! measured per-neighborhood costs of a real sharded run onto `m`
 //! virtual machines with random assignment per round; the round's wall
 //! time is the maximum machine load plus the setup overhead.
+//!
+//! A round is one epoch of the sharded runtime: the evaluations between
+//! two evidence fences. Within an epoch a shard drains to local
+//! quiescence, so one epoch may hold several visits of a neighborhood
+//! and a run needs fewer epochs than strict one-visit-per-round rounds
+//! would.
 
-use crate::executor::RoundTrace;
+use em_core::framework::EvalTrace;
 use em_core::properties::SplitMix64;
 use std::time::Duration;
 
@@ -59,7 +65,7 @@ impl Default for GridParams {
 /// Result of a grid simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct GridReport {
-    /// Number of rounds replayed.
+    /// Number of rounds replayed (epochs that evaluated anything).
     pub rounds: usize,
     /// Simulated wall-clock time on the grid.
     pub makespan: Duration,
@@ -72,38 +78,43 @@ pub struct GridReport {
     pub mean_skew: f64,
 }
 
-/// Replay a trace onto a simulated grid.
-pub fn simulate(trace: &RoundTrace, params: &GridParams) -> GridReport {
+/// Replay per-epoch evaluation traces (one slice per epoch, as in
+/// `ShardReport::epoch_traces`) onto a simulated grid. Empty epochs
+/// cost nothing: no job is launched for them.
+pub fn simulate(epochs: &[EvalTrace], params: &GridParams) -> GridReport {
     assert!(params.machines > 0, "at least one machine");
     let mut rng = SplitMix64::new(params.seed);
     let mut makespan = Duration::ZERO;
+    let mut total_work = Duration::ZERO;
     let mut skew_sum = 0.0;
+    let mut rounds = 0usize;
     let mut skew_rounds = 0usize;
-    for round in &trace.rounds {
-        if round.is_empty() {
+    for epoch in epochs {
+        if epoch.is_empty() {
             continue;
         }
+        rounds += 1;
         let mut loads = vec![Duration::ZERO; params.machines];
         match params.assignment {
             Assignment::Random => {
-                for eval in round {
+                for &(_, cost) in epoch {
                     // Random assignment, as in the paper ("neighborhoods
                     // are randomly assigned to nodes").
                     let machine = rng.below(params.machines);
-                    loads[machine] += eval.cost;
+                    loads[machine] += cost;
                 }
             }
             Assignment::Lpt => {
-                let mut order: Vec<&crate::executor::EvalRecord> = round.iter().collect();
-                order.sort_by_key(|e| (std::cmp::Reverse(e.cost), e.neighborhood));
-                for eval in order {
+                let mut order = epoch.clone();
+                order.sort_by_key(|&(id, cost)| (std::cmp::Reverse(cost), id));
+                for (_, cost) in order {
                     let machine = loads
                         .iter()
                         .enumerate()
                         .min_by_key(|&(i, load)| (*load, i))
                         .map(|(i, _)| i)
                         .expect("at least one machine");
-                    loads[machine] += eval.cost;
+                    loads[machine] += cost;
                 }
             }
         }
@@ -114,11 +125,11 @@ pub fn simulate(trace: &RoundTrace, params: &GridParams) -> GridReport {
             skew_sum += max.as_secs_f64() / mean.as_secs_f64();
             skew_rounds += 1;
         }
+        total_work += total;
         makespan += max + params.per_round_overhead;
     }
-    let total_work = trace.total_work();
     GridReport {
-        rounds: trace.rounds.len(),
+        rounds,
         makespan,
         total_work,
         speedup: if makespan > Duration::ZERO {
@@ -137,25 +148,19 @@ pub fn simulate(trace: &RoundTrace, params: &GridParams) -> GridReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::EvalRecord;
     use em_core::cover::NeighborhoodId;
 
-    fn trace(rounds: Vec<Vec<u64>>) -> RoundTrace {
-        RoundTrace {
-            rounds: rounds
-                .into_iter()
-                .map(|costs| {
-                    costs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, ms)| EvalRecord {
-                            neighborhood: NeighborhoodId(i as u32),
-                            cost: Duration::from_millis(ms),
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
+    fn trace(rounds: Vec<Vec<u64>>) -> Vec<EvalTrace> {
+        rounds
+            .into_iter()
+            .map(|costs| {
+                costs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, ms)| (NeighborhoodId(i as u32), Duration::from_millis(ms)))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]

@@ -1,25 +1,14 @@
-//! # em-parallel — parallel execution and grid simulation (§6.3)
+//! # em-parallel — the Table 1 grid simulator (§6.3)
 //!
-//! The framework parallelizes naturally: within a round, neighborhood
-//! evaluations are independent given the evidence the round was fenced
-//! on. [`executor`] implements the paper's round-based scheme over
-//! worker threads (NO-MP, SMP, and MMP variants) as a delta-driven
-//! scheduler — per-round epoch fences on the accumulating evidence, a
-//! `DependencyIndex` routing each delta pair to the neighborhoods that
-//! can use it, and incremental probe replay for MMP — with
-//! per-neighborhood cost tracing; [`grid`] replays a trace onto `m`
-//! simulated machines with random assignment and per-round job overhead
-//! — reproducing Table 1's observation that 30 machines yield ~11×, not
-//! 30×.
+//! The paper ran DBLP-BIG on a 30-machine grid in rounds and observed an
+//! ~11× speedup, not 30×. [`grid`] reproduces that observation: it
+//! replays the per-epoch evaluation traces of a real `em-shard` run
+//! ([`em_core::framework::EvalTrace`], one per epoch) onto `m` simulated
+//! machines with random or LPT assignment and per-round job overhead.
+//! The parallel execution itself is `em-shard`'s.
 
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod grid;
 
-pub use executor::{
-    execute_mmp, execute_no_mp, execute_smp, EvalRecord, ParallelConfig, RoundTrace,
-};
-#[allow(deprecated)]
-pub use executor::{parallel_mmp, parallel_no_mp, parallel_smp};
 pub use grid::{simulate, Assignment, GridParams, GridReport};

@@ -35,9 +35,7 @@ pub mod runtime;
 
 pub use fault::{FaultKind, FaultPlan, RuntimeOptions};
 pub use partition::{estimate_costs, PlacementUnit, ShardPlan, SplitPolicy};
-#[allow(deprecated)]
-pub use runtime::{shard_mmp, shard_smp};
 pub use runtime::{
-    shard_mmp_planned, shard_mmp_planned_opts, shard_smp_planned, shard_smp_planned_opts,
-    ShardConfig, ShardLoad, ShardReport,
+    shard_mmp_planned_opts, shard_no_mp_planned_opts, shard_smp_planned_opts, ShardLoad,
+    ShardReport,
 };

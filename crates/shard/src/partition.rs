@@ -205,7 +205,8 @@ impl ShardPlan {
     /// Measured-cost re-planning: rebuild the partition with the same
     /// shard count and policy, but with the balancer's cost slice
     /// replaced by a previous run's **measured** per-neighborhood busy
-    /// times (`ShardReport::measured`, nanoseconds, summed over visits).
+    /// times ([`crate::ShardReport::measured`], nanoseconds, summed over
+    /// visits).
     /// Neighborhoods the report did not measure fall back to cost 1,
     /// the cheapest unit, so they cannot displace measured load — which
     /// means the report should cover (nearly) every neighborhood to be
@@ -217,7 +218,7 @@ impl ShardPlan {
     /// `table1_grid` prints the two plans side by side.
     pub fn replan_from(&self, index: &DependencyIndex, report: &crate::ShardReport) -> ShardPlan {
         let mut costs = vec![1u64; self.costs.len()];
-        for &(id, busy) in &report.measured {
+        for (id, busy) in report.measured() {
             if id.index() < costs.len() {
                 costs[id.index()] = (busy.as_nanos() as u64).max(1);
             }

@@ -3,7 +3,8 @@
 //! One [`em_core::framework::SmpDriver`]/[`MmpDriver`] per shard, each
 //! on its own thread with a [`DependencyIndex`] restricted to its
 //! member neighborhoods, exchanging evidence as **epoch-fenced delta
-//! messages** over channels:
+//! messages** over channels (NO-MP shards evaluate their members once in
+//! the first epoch and exchange nothing after it):
 //!
 //! ```text
 //!            ┌─ Epoch{delta} ──▶ shard 0: absorb → fence → drain ─┐
@@ -43,48 +44,19 @@
 //! is byte-identical to the single-machine run's.
 
 use crate::fault::{FaultKind, RuntimeOptions};
-use crate::partition::{estimate_costs, skew, ShardPlan, SplitPolicy};
+use crate::partition::{skew, ShardPlan};
 use crossbeam::channel::{self, Receiver, Sender};
 use em_core::cover::{Cover, NeighborhoodId};
 use em_core::framework::{
-    mark_dirty_around, promote_dirty, CertificateBank, CertificateSet, DependencyIndex, EvalTrace,
-    InvariantChecker, MemoBank, MessageStore, MmpConfig, MmpDriver, ProbeMemo, RunStats, SmpDriver,
+    mark_dirty_around, no_mp_evaluate, promote_dirty, CertificateBank, DependencyIndex, EvalTrace,
+    InvariantChecker, MemoBank, MessageStore, MmpConfig, MmpDriver, RunStats, SmpDriver, WarmSeed,
     WarmStart,
 };
 use em_core::{
     Dataset, Evidence, GlobalScorer, MatchOutput, Matcher, Pair, PairSet, ProbabilisticMatcher,
 };
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Sharded-runtime configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardConfig {
-    /// Number of shards (each runs on its own thread).
-    pub shards: usize,
-    /// What to do with evidence components too big to balance.
-    pub policy: SplitPolicy,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        Self {
-            shards: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
-            policy: SplitPolicy::default(),
-        }
-    }
-}
-
-impl ShardConfig {
-    /// `shards` shards with the default split policy.
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards,
-            ..Default::default()
-        }
-    }
-}
 
 /// Per-shard load figures of one run.
 #[derive(Debug, Clone)]
@@ -117,11 +89,12 @@ pub struct ShardReport {
     /// Oversized components split into per-neighborhood units.
     pub split_components: usize,
     /// Oversized components kept whole and pinned solo: all of them
-    /// under [`SplitPolicy::Pin`]; single-neighborhood ones (nothing to
-    /// split) even under [`SplitPolicy::Split`].
+    /// under [`crate::SplitPolicy::Pin`]; single-neighborhood ones (nothing to
+    /// split) even under [`crate::SplitPolicy::Split`].
     pub pinned_components: usize,
-    /// Epoch fences until the global fixpoint (≥ 2: at least one work
-    /// epoch plus the empty confirming epoch).
+    /// Epoch fences until the global fixpoint (≥ 2 once the first epoch
+    /// finds anything: at least one work epoch plus the empty confirming
+    /// epoch).
     pub epochs: u64,
     /// Distinct evidence pairs exchanged across shards.
     pub cross_shard_pairs: u64,
@@ -142,8 +115,11 @@ pub struct ShardReport {
     /// (indexed by neighborhood id) — the deterministic trace the grid
     /// simulator's LPT mode is validated against.
     pub neighborhood_costs: Vec<u64>,
-    /// Measured per-neighborhood evaluation costs, summed over visits.
-    pub measured: Vec<(NeighborhoodId, Duration)>,
+    /// Every neighborhood evaluation, one trace per epoch (shards in id
+    /// order within an epoch) — what the Table 1 grid simulator replays.
+    /// A dead shard's replacement logs its re-execution in the epoch it
+    /// ran in.
+    pub epoch_traces: Vec<EvalTrace>,
     /// Shard driver threads lost to a panic (injected or organic).
     pub shard_panics: u64,
     /// Fence-wait attempts that expired before every live shard
@@ -167,6 +143,24 @@ impl ShardReport {
     pub fn est_makespan(&self) -> u64 {
         self.per_shard.iter().map(|s| s.est_cost).max().unwrap_or(0)
     }
+
+    /// Measured per-neighborhood evaluation costs, summed over every
+    /// visit in [`ShardReport::epoch_traces`], sorted by id — the cost
+    /// basis of [`ShardPlan::replan_from`].
+    pub fn measured(&self) -> Vec<(NeighborhoodId, Duration)> {
+        let mut measured: Vec<(NeighborhoodId, Duration)> =
+            self.epoch_traces.iter().flatten().copied().collect();
+        measured.sort_by_key(|&(id, _)| id);
+        measured.dedup_by(|next, acc| {
+            if next.0 == acc.0 {
+                acc.1 += next.1;
+                true
+            } else {
+                false
+            }
+        });
+        measured
+    }
 }
 
 enum ToShard {
@@ -174,31 +168,80 @@ enum ToShard {
     Stop,
 }
 
+/// One shard's response to one epoch.
 struct EpochDone {
     shard: usize,
     delta: Vec<Pair>,
     messages: Vec<Vec<Pair>>,
+    trace: EvalTrace,
 }
 
 struct ShardOutcome {
     stats: RunStats,
     busy: Duration,
-    trace: EvalTrace,
     /// Probe memos at quiescence, keyed by view identity (MMP only).
     memos: MemoBank,
     /// Score-gap certificates at quiescence, parallel to `memos`.
     certs: CertificateBank,
 }
 
-/// One shard's epoch loop over its driver; generic so SMP and MMP share
-/// the runtime verbatim.
+/// One shard's epoch step over its driver; generic so every scheme
+/// shares the runtime verbatim.
 trait EpochWorker {
-    fn absorb(&mut self, delta: &[Pair]);
-    fn fence(&mut self) -> em_core::Epoch;
-    fn drain(&mut self);
-    /// This epoch's outgoing delta and maximal messages.
-    fn produced(&mut self, since: em_core::Epoch) -> (Vec<Pair>, Vec<Vec<Pair>>);
-    fn finish(self) -> (RunStats, EvalTrace, MemoBank, CertificateBank);
+    /// Absorb the peers' `delta`, drain to local quiescence, and return
+    /// this epoch's outgoing delta, maximal messages and evaluations.
+    fn epoch(&mut self, delta: &[Pair]) -> (Vec<Pair>, Vec<Vec<Pair>>, EvalTrace);
+    fn finish(self) -> (RunStats, MemoBank, CertificateBank);
+}
+
+fn step<W: EpochWorker>(worker: &mut W, shard: usize, delta: &[Pair]) -> EpochDone {
+    let (delta, messages, trace) = worker.epoch(delta);
+    EpochDone {
+        shard,
+        delta,
+        messages,
+        trace,
+    }
+}
+
+/// NO-MP on one shard: every member neighborhood is evaluated once, in
+/// the first epoch, against the caller's evidence restricted to its view
+/// ([`no_mp_evaluate`]); the matches are that epoch's delta and later
+/// epochs are no-ops.
+struct NoMpWorker<'a> {
+    matcher: &'a (dyn Matcher + Sync),
+    dataset: &'a Dataset,
+    cover: &'a Cover,
+    members: &'a [NeighborhoodId],
+    evidence: &'a Evidence,
+    evaluated: bool,
+    stats: RunStats,
+}
+
+impl EpochWorker for NoMpWorker<'_> {
+    fn epoch(&mut self, _delta: &[Pair]) -> (Vec<Pair>, Vec<Vec<Pair>>, EvalTrace) {
+        let mut matches = PairSet::new();
+        let mut trace = EvalTrace::new();
+        if !std::mem::replace(&mut self.evaluated, true) {
+            for &id in self.members {
+                let t0 = Instant::now();
+                let found = no_mp_evaluate(
+                    self.matcher,
+                    self.dataset,
+                    self.cover,
+                    id,
+                    self.evidence,
+                    &mut self.stats,
+                );
+                matches.union_with(&found);
+                trace.push((id, t0.elapsed()));
+            }
+        }
+        (matches.iter().collect(), Vec::new(), trace)
+    }
+    fn finish(self) -> (RunStats, MemoBank, CertificateBank) {
+        (self.stats, MemoBank::new(), CertificateBank::new())
+    }
 }
 
 struct SmpWorker<'a> {
@@ -207,23 +250,19 @@ struct SmpWorker<'a> {
 }
 
 impl EpochWorker for SmpWorker<'_> {
-    fn absorb(&mut self, delta: &[Pair]) {
+    fn epoch(&mut self, delta: &[Pair]) -> (Vec<Pair>, Vec<Vec<Pair>>, EvalTrace) {
         self.driver.absorb(delta);
-    }
-    fn fence(&mut self) -> em_core::Epoch {
-        self.driver.fence()
-    }
-    fn drain(&mut self) {
+        let fence = self.driver.fence();
         self.driver.run(self.matcher);
+        (
+            self.driver.delta_since(fence).to_vec(),
+            Vec::new(),
+            self.driver.take_trace(),
+        )
     }
-    fn produced(&mut self, since: em_core::Epoch) -> (Vec<Pair>, Vec<Vec<Pair>>) {
-        (self.driver.delta_since(since).to_vec(), Vec::new())
-    }
-    fn finish(mut self) -> (RunStats, EvalTrace, MemoBank, CertificateBank) {
-        let trace = self.driver.take_trace();
+    fn finish(self) -> (RunStats, MemoBank, CertificateBank) {
         (
             *self.driver.stats(),
-            trace,
             MemoBank::new(),
             CertificateBank::new(),
         )
@@ -235,35 +274,29 @@ struct MmpWorker<'a> {
     matcher: &'a (dyn ProbabilisticMatcher + Sync),
     scorer: &'a (dyn GlobalScorer + Send + Sync),
     /// Whether to bank probe memos at quiescence (only when the caller
-    /// passed a cross-run [`MemoBank`]).
+    /// passed a cross-run [`WarmStart`]).
     collect_memos: bool,
 }
 
 impl EpochWorker for MmpWorker<'_> {
-    fn absorb(&mut self, delta: &[Pair]) {
+    fn epoch(&mut self, delta: &[Pair]) -> (Vec<Pair>, Vec<Vec<Pair>>, EvalTrace) {
         self.driver.absorb(delta, self.scorer);
-    }
-    fn fence(&mut self) -> em_core::Epoch {
-        self.driver.fence()
-    }
-    fn drain(&mut self) {
+        let fence = self.driver.fence();
         self.driver.run(self.matcher, self.scorer);
-    }
-    fn produced(&mut self, since: em_core::Epoch) -> (Vec<Pair>, Vec<Vec<Pair>>) {
         (
-            self.driver.delta_since(since).to_vec(),
+            self.driver.delta_since(fence).to_vec(),
             self.driver.take_outbox(),
+            self.driver.take_trace(),
         )
     }
-    fn finish(mut self) -> (RunStats, EvalTrace, MemoBank, CertificateBank) {
-        let trace = self.driver.take_trace();
+    fn finish(mut self) -> (RunStats, MemoBank, CertificateBank) {
         let mut memos = MemoBank::new();
         let mut certs = CertificateBank::new();
         if self.collect_memos {
             self.driver.bank_memos(&mut memos);
             self.driver.bank_certificates(&mut certs);
         }
-        (*self.driver.stats(), trace, memos, certs)
+        (*self.driver.stats(), memos, certs)
     }
 }
 
@@ -292,17 +325,14 @@ fn worker_loop<W: EpochWorker>(
             ToShard::Stop => break,
             ToShard::Epoch { delta } => {
                 epoch += 1;
-                let t0 = Instant::now();
-                worker.absorb(&delta);
-                let fence = worker.fence();
                 if faults
                     .iter()
                     .any(|f| matches!(f, FaultKind::Panic { epoch: e } if *e == epoch))
                 {
                     panic!("injected fault: shard {shard} panics at epoch {epoch}");
                 }
-                worker.drain();
-                let (produced, messages) = worker.produced(fence);
+                let t0 = Instant::now();
+                let done = step(&mut worker, shard, &delta);
                 busy += t0.elapsed();
                 stalled = stalled
                     || faults
@@ -320,31 +350,37 @@ fn worker_loop<W: EpochWorker>(
                 {
                     std::thread::sleep(delay);
                 }
-                tx.send(EpochDone {
-                    shard,
-                    delta: produced,
-                    messages,
-                })
-                .expect("coordinator alive");
+                tx.send(done).expect("coordinator alive");
             }
         }
     }
-    let (stats, trace, memos, certs) = worker.finish();
+    let (stats, memos, certs) = worker.finish();
     ShardOutcome {
         stats,
         busy,
-        trace,
         memos,
         certs,
     }
 }
 
+/// What [`run_epochs`] hands back to a scheme's entry point.
+struct EpochRun {
+    /// The global evidence at fixpoint.
+    global: Evidence,
+    /// Exactly one outcome per shard slot.
+    outcomes: Vec<ShardOutcome>,
+    epochs: u64,
+    /// Distinct evidence pairs broadcast across shards.
+    cross_shard_pairs: u64,
+    faults: FaultCounters,
+    /// Every epoch's evaluations, shards in id order.
+    epoch_traces: Vec<EvalTrace>,
+}
+
 /// Run the epoch protocol over `k` workers built by `make_worker`,
 /// reducing each epoch's responses with `reduce` (which folds deltas
 /// and messages into `global` and returns the fresh pairs to
-/// broadcast). Returns the global evidence at fixpoint, per-shard
-/// outcomes, the epoch count, the distinct cross-shard pair count, and
-/// the fault/recovery counters.
+/// broadcast).
 ///
 /// ## Graceful degradation
 ///
@@ -377,7 +413,7 @@ fn run_epochs<W, F, R>(
     opts: &RuntimeOptions,
     make_worker: F,
     mut reduce: R,
-) -> (Evidence, Vec<ShardOutcome>, u64, u64, FaultCounters)
+) -> EpochRun
 where
     W: EpochWorker + Send,
     F: Fn(usize) -> W + Sync,
@@ -417,24 +453,14 @@ where
         let recover = |s: usize, history: &[Pair]| -> (W, Duration, EpochDone) {
             let mut w = make_worker(s);
             let t0 = Instant::now();
-            w.absorb(history);
-            let fence = w.fence();
-            w.drain();
-            let (produced, messages) = w.produced(fence);
-            (
-                w,
-                t0.elapsed(),
-                EpochDone {
-                    shard: s,
-                    delta: produced,
-                    messages,
-                },
-            )
+            let done = step(&mut w, s, history);
+            (w, t0.elapsed(), done)
         };
 
         let mut global = Evidence::from_parts(evidence.positive.clone(), evidence.negative.clone());
         let mut epochs = 0u64;
         let mut cross_shard_pairs = 0u64;
+        let mut epoch_traces: Vec<EvalTrace> = Vec::new();
         let mut delta: Vec<Pair> = Vec::new();
         loop {
             epochs += 1;
@@ -454,16 +480,8 @@ where
             for s in 0..k {
                 if let Some((w, busy)) = inline[s].as_mut() {
                     let t0 = Instant::now();
-                    w.absorb(&delta);
-                    let fence = w.fence();
-                    w.drain();
-                    let (produced, messages) = w.produced(fence);
+                    responses[s] = Some(step(w, s, &delta));
                     *busy += t0.elapsed();
-                    responses[s] = Some(EpochDone {
-                        shard: s,
-                        delta: produced,
-                        messages,
-                    });
                 }
             }
             // The fence: nothing proceeds until every live shard
@@ -534,7 +552,14 @@ where
             }
             // Reduce in shard-id order — deterministic regardless of
             // thread scheduling.
-            let fresh = reduce(&mut global, responses.into_iter().flatten().collect());
+            let mut responses: Vec<EpochDone> = responses.into_iter().flatten().collect();
+            epoch_traces.push(
+                responses
+                    .iter_mut()
+                    .flat_map(|done| std::mem::take(&mut done.trace))
+                    .collect(),
+            );
+            let fresh = reduce(&mut global, responses);
             if fresh.is_empty() {
                 break;
             }
@@ -550,12 +575,11 @@ where
         for (s, h) in handles.into_iter().enumerate() {
             let joined = h.join();
             let replacement = inline[s].take();
-            let finish = |pair: (W, Duration)| {
-                let (stats, trace, memos, certs) = pair.0.finish();
+            let finish = |(w, busy): (W, Duration)| {
+                let (stats, memos, certs) = w.finish();
                 ShardOutcome {
                     stats,
-                    busy: pair.1,
-                    trace,
+                    busy,
                     memos,
                     certs,
                 }
@@ -574,32 +598,41 @@ where
                 (Err(panic), None) => std::panic::resume_unwind(panic),
             }
         }
-        (global, outcomes, epochs, cross_shard_pairs, counters)
+        EpochRun {
+            global,
+            outcomes,
+            epochs,
+            cross_shard_pairs,
+            faults: counters,
+            epoch_traces,
+        }
     })
 }
 
-/// Assemble the output + report shared by both schemes.
-#[allow(clippy::too_many_arguments)]
+/// Assemble the output + report shared by every scheme.
 fn assemble(
     start: Instant,
     plan: &ShardPlan,
     coordinator_stats: RunStats,
-    global: Evidence,
-    outcomes: Vec<ShardOutcome>,
-    epochs: u64,
-    cross_shard_pairs: u64,
-    faults: FaultCounters,
+    run: EpochRun,
 ) -> (MatchOutput, ShardReport) {
+    let EpochRun {
+        global,
+        outcomes,
+        epochs,
+        cross_shard_pairs,
+        faults,
+        epoch_traces,
+    } = run;
     let mut stats = coordinator_stats;
     stats.shard_panics += faults.shard_panics;
     stats.fence_timeouts += faults.fence_timeouts;
     stats.shards_recovered += faults.shards_recovered;
     let mut per_shard = Vec::with_capacity(outcomes.len());
-    let mut measured: Vec<(NeighborhoodId, Duration)> = Vec::new();
     let mut busy_units = Vec::with_capacity(outcomes.len());
     let mut makespan = Duration::ZERO;
     let mut total_work = Duration::ZERO;
-    for (s, outcome) in outcomes.into_iter().enumerate() {
+    for (s, outcome) in outcomes.iter().enumerate() {
         stats.merge(&outcome.stats);
         per_shard.push(ShardLoad {
             shard: s,
@@ -612,18 +645,7 @@ fn assemble(
         busy_units.push(outcome.busy.as_nanos() as u64);
         makespan = makespan.max(outcome.busy);
         total_work += outcome.busy;
-        measured.extend(outcome.trace);
     }
-    measured.sort_by_key(|&(id, _)| id);
-    // Sum repeated visits of the same neighborhood into one entry.
-    measured.dedup_by(|next, acc| {
-        if next.0 == acc.0 {
-            acc.1 += next.1;
-            true
-        } else {
-            false
-        }
-    });
     stats.finalize(start.elapsed(), epochs);
 
     let report = ShardReport {
@@ -646,7 +668,7 @@ fn assemble(
         },
         per_shard,
         neighborhood_costs: plan.costs.clone(),
-        measured,
+        epoch_traces,
         shard_panics: faults.shard_panics,
         fence_timeouts: faults.fence_timeouts,
         stalled_shards: faults.stalled_shards,
@@ -662,79 +684,27 @@ fn assemble(
     (MatchOutput { matches, stats }, report)
 }
 
-/// Sharded SMP: the fixpoint equals the sequential SMP fixpoint.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `em::Pipeline` front door (umbrella crate) with `Backend::Sharded`; `shard_smp_planned` is the engine hook"
-)]
-pub fn shard_smp(
-    matcher: &(dyn Matcher + Sync),
+/// The reduce shared by NO-MP and SMP: fold every shard's delta into
+/// the global evidence (invariant-checked per fence when `opts` asks)
+/// and broadcast the fresh pairs.
+fn run_without_messages<W, F>(
     dataset: &Dataset,
-    cover: &Cover,
-    evidence: &Evidence,
-    config: &ShardConfig,
-) -> (MatchOutput, ShardReport) {
-    let index = DependencyIndex::build(dataset, cover);
-    let costs = estimate_costs(dataset, cover);
-    let plan = ShardPlan::build(&index, config.shards, &costs, config.policy);
-    shard_smp_planned(matcher, dataset, cover, &index, &plan, evidence)
-}
-
-/// The sharded SMP engine over a caller-owned [`DependencyIndex`] and
-/// [`ShardPlan`] — what a session uses so the index survives across runs
-/// and the plan can be rebuilt from measured costs
-/// ([`ShardPlan::replan_from`]). The deprecated [`shard_smp`] wrapper
-/// builds both from estimates and delegates here.
-pub fn shard_smp_planned(
-    matcher: &(dyn Matcher + Sync),
-    dataset: &Dataset,
-    cover: &Cover,
-    index: &DependencyIndex,
-    plan: &ShardPlan,
-    evidence: &Evidence,
-) -> (MatchOutput, ShardReport) {
-    shard_smp_planned_opts(
-        matcher,
-        dataset,
-        cover,
-        index,
-        plan,
-        evidence,
-        &RuntimeOptions::default(),
-    )
-}
-
-/// [`shard_smp_planned`] with explicit [`RuntimeOptions`]: fault
-/// injection, the fence-timeout budget, and per-fence invariant checks.
-#[allow(clippy::too_many_arguments)]
-pub fn shard_smp_planned_opts(
-    matcher: &(dyn Matcher + Sync),
-    dataset: &Dataset,
-    cover: &Cover,
-    index: &DependencyIndex,
     plan: &ShardPlan,
     evidence: &Evidence,
     opts: &RuntimeOptions,
-) -> (MatchOutput, ShardReport) {
+    make_worker: F,
+) -> (MatchOutput, ShardReport)
+where
+    W: EpochWorker + Send,
+    F: Fn(usize) -> W + Sync,
+{
     let start = Instant::now();
-    let plan_ref = plan;
-    let index_ref = index;
     let mut coordinator_stats = RunStats::default();
-    let (global, outcomes, epochs, crossed, faults) = run_epochs(
+    let run = run_epochs(
         plan.shards.len(),
         evidence,
         opts,
-        |shard| {
-            let mut driver = SmpDriver::for_members(
-                dataset,
-                cover,
-                index_ref,
-                &plan_ref.shards[shard],
-                evidence,
-            );
-            driver.enable_trace();
-            SmpWorker { driver, matcher }
-        },
+        make_worker,
         |global, responses| {
             let fence = global.advance_epoch();
             for done in responses {
@@ -750,95 +720,72 @@ pub fn shard_smp_planned_opts(
             global.delta_since(fence).to_vec()
         },
     );
-    assemble(
-        start,
-        plan,
-        coordinator_stats,
-        global,
-        outcomes,
-        epochs,
-        crossed,
-        faults,
-    )
+    assemble(start, plan, coordinator_stats, run)
 }
 
-/// Sharded MMP: the fixpoint equals [`em_core::framework::mmp`]'s for
-/// exact supermodular matchers (the same caveat as
-/// [`MmpConfig::incremental`] applies to approximate backends). Shards
-/// compute base matches and maximal messages; the coordinator owns the
-/// message store and the promotion loop.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `em::Pipeline` front door (umbrella crate) with `Backend::Sharded`; `shard_mmp_planned` is the engine hook"
-)]
-pub fn shard_mmp(
-    matcher: &(dyn ProbabilisticMatcher + Sync),
+/// Sharded NO-MP over a caller-owned [`ShardPlan`]: each shard evaluates
+/// its members once against the caller's evidence, so the output equals
+/// [`em_core::framework::no_mp_baseline`]'s. `opts` carries fault
+/// injection, the fence-timeout budget, and per-fence invariant checks.
+pub fn shard_no_mp_planned_opts(
+    matcher: &(dyn Matcher + Sync),
     dataset: &Dataset,
     cover: &Cover,
+    plan: &ShardPlan,
     evidence: &Evidence,
-    mmp_config: &MmpConfig,
-    config: &ShardConfig,
+    opts: &RuntimeOptions,
 ) -> (MatchOutput, ShardReport) {
-    let index = DependencyIndex::build(dataset, cover);
-    let costs = estimate_costs(dataset, cover);
-    let plan = ShardPlan::build(&index, config.shards, &costs, config.policy);
-    shard_mmp_planned(
-        matcher, dataset, cover, &index, &plan, evidence, mmp_config, None,
-    )
+    run_without_messages(dataset, plan, evidence, opts, |shard| NoMpWorker {
+        matcher,
+        dataset,
+        cover,
+        members: &plan.shards[shard],
+        evidence,
+        evaluated: false,
+        stats: RunStats::default(),
+    })
 }
 
-/// Per-shard warm-start slice: probe memos for unchanged member views
-/// plus the initial worklist (the changed members only).
-struct ShardSeed {
-    memos: Vec<(NeighborhoodId, ProbeMemo)>,
-    /// Score-gap certificates for the seeded memos (only for views
-    /// whose memo withdrawal succeeded — the bank's key discipline).
-    certs: Vec<(NeighborhoodId, CertificateSet)>,
-    active: Vec<NeighborhoodId>,
-}
-
-/// The sharded MMP engine over a caller-owned index and plan (see
-/// [`shard_smp_planned`]).
-///
-/// `warm`, when given, is the cross-run [`WarmStart`]: the coordinator
-/// adopts the previous fixpoint's message store (every carried message
-/// re-checked for promotion against the current evidence and scorer),
-/// each shard's initial worklist is restricted to the member
-/// neighborhoods whose view identity misses the memo bank (i.e. views
-/// that changed since the previous fixpoint — unchanged views would
-/// reproduce their quiescent state, and their messages are already in
-/// the carried store), and bank hits seed the shard drivers' probe
-/// memos so delta-activated revisits replay instead of re-probing. At
-/// quiescence the store and memos flow back into `warm` for the next
-/// run. Only consulted for [`MmpConfig::incremental`] runs — replay is
-/// the incremental path.
-#[allow(clippy::too_many_arguments)]
-pub fn shard_mmp_planned(
-    matcher: &(dyn ProbabilisticMatcher + Sync),
+/// Sharded SMP over a caller-owned [`DependencyIndex`] and
+/// [`ShardPlan`] — what a session uses so the index survives across runs
+/// and the plan can be rebuilt from measured costs
+/// ([`ShardPlan::replan_from`]). The fixpoint equals the sequential SMP
+/// fixpoint. `opts` carries fault injection, the fence-timeout budget,
+/// and per-fence invariant checks.
+pub fn shard_smp_planned_opts(
+    matcher: &(dyn Matcher + Sync),
     dataset: &Dataset,
     cover: &Cover,
     index: &DependencyIndex,
     plan: &ShardPlan,
     evidence: &Evidence,
-    mmp_config: &MmpConfig,
-    warm: Option<&mut WarmStart>,
+    opts: &RuntimeOptions,
 ) -> (MatchOutput, ShardReport) {
-    shard_mmp_planned_opts(
-        matcher,
-        dataset,
-        cover,
-        index,
-        plan,
-        evidence,
-        mmp_config,
-        warm,
-        &RuntimeOptions::default(),
-    )
+    run_without_messages(dataset, plan, evidence, opts, |shard| {
+        let mut driver =
+            SmpDriver::for_members(dataset, cover, index, &plan.shards[shard], evidence);
+        driver.enable_trace();
+        SmpWorker { driver, matcher }
+    })
 }
 
-/// [`shard_mmp_planned`] with explicit [`RuntimeOptions`]: fault
-/// injection, the fence-timeout budget, and per-fence invariant checks
-/// (which for MMP also validate the coordinator's message store).
+/// Sharded MMP over a caller-owned index and plan (see
+/// [`shard_smp_planned_opts`]): the fixpoint equals
+/// [`em_core::framework::mmp_with_order`]'s for exact supermodular
+/// matchers (the same caveat as [`MmpConfig::incremental`] applies to
+/// approximate backends). Shards compute base matches and maximal
+/// messages; the coordinator owns the message store and the promotion
+/// loop. Per-fence invariant checks (`opts`) also validate the store.
+///
+/// `warm`, when given, is the cross-run [`WarmStart`]: the coordinator
+/// adopts the previous fixpoint's message store (every carried message
+/// re-checked for promotion against the current evidence and scorer),
+/// and each shard is seeded with its members' slice of the bank
+/// ([`WarmStart::withdraw`]) — only views that changed since the
+/// previous fixpoint start active, and bank hits replay instead of
+/// re-probing. At quiescence the store and memos flow back into `warm`
+/// for the next run. Only consulted for [`MmpConfig::incremental`] runs
+/// — replay is the incremental path.
 #[allow(clippy::too_many_arguments)]
 pub fn shard_mmp_planned_opts(
     matcher: &(dyn ProbabilisticMatcher + Sync),
@@ -857,51 +804,18 @@ pub fn shard_mmp_planned_opts(
     }
     // Pre-partition the warm state by shard so each worker thread can
     // take its slice without contending on the caller's bank.
-    let seeds: Vec<std::sync::Mutex<Option<ShardSeed>>> = {
-        let mut per_shard: Vec<Option<ShardSeed>> = (0..plan.shards.len()).map(|_| None).collect();
-        if let Some(warm) = warm.as_deref_mut() {
-            for (slot, members) in per_shard.iter_mut().zip(&plan.shards) {
-                let mut seed = ShardSeed {
-                    memos: Vec::new(),
-                    certs: Vec::new(),
-                    active: Vec::new(),
-                };
-                for &id in members {
-                    let view = cover.view(dataset, id);
-                    match warm.bank.withdraw_grown(&view, warm.entity_floor) {
-                        // Identical view: quiescent; its messages are in
-                        // the carried store — skip it. Certificates ride
-                        // along in case routed evidence reactivates it.
-                        Some((memo, true)) => {
-                            seed.memos.push((id, memo));
-                            if let Some(set) = warm.certs.withdraw_grown(&view, warm.entity_floor) {
-                                seed.certs.push((id, set));
-                            }
-                        }
-                        // Grown view: re-evaluate with the old memo so
-                        // untouched components replay. Its certificates
-                        // ride along (withdrawn only on a memo hit).
-                        Some((memo, false)) => {
-                            seed.memos.push((id, memo));
-                            if let Some(set) = warm.certs.withdraw_grown(&view, warm.entity_floor) {
-                                seed.certs.push((id, set));
-                            }
-                            seed.active.push(id);
-                        }
-                        None => seed.active.push(id),
-                    }
-                }
-                *slot = Some(seed);
-            }
-        }
-        per_shard.into_iter().map(std::sync::Mutex::new).collect()
-    };
-    let seeds_ref = &seeds;
+    let seeds: Vec<Mutex<Option<WarmSeed>>> = plan
+        .shards
+        .iter()
+        .map(|members| {
+            Mutex::new(
+                warm.as_deref_mut()
+                    .map(|warm| warm.withdraw(dataset, cover, members.iter().copied())),
+            )
+        })
+        .collect();
     let collect_memos = warm.is_some();
-    let plan_ref = plan;
-    let index_ref = index;
-    // One grounding shared read-only by every shard, exactly like the
-    // round-based executor.
+    // One grounding shared read-only by every shard.
     let scorer = matcher.global_scorer(dataset);
     let scorer_ref: &(dyn GlobalScorer + Send + Sync) = scorer.as_ref();
     // `memo_capacity` bounds the run's total memoized probe entries, so
@@ -914,7 +828,6 @@ pub fn shard_mmp_planned_opts(
         },
         ..*mmp_config
     };
-    let per_shard_config = &per_shard_config;
     // A warm run adopts the previous fixpoint's store and re-checks
     // every carried message's promotion in the first reduce.
     let mut store = match warm.as_deref_mut() {
@@ -923,7 +836,7 @@ pub fn shard_mmp_planned_opts(
     };
     let mut dirty_messages: Vec<Pair> = store.roots();
     let mut coordinator_stats = RunStats::default();
-    let (global, outcomes, epochs, crossed, faults) = run_epochs(
+    let mut run = run_epochs(
         plan.shards.len(),
         evidence,
         opts,
@@ -931,21 +844,15 @@ pub fn shard_mmp_planned_opts(
             let mut driver = MmpDriver::for_members(
                 dataset,
                 cover,
-                index_ref,
-                &plan_ref.shards[shard],
+                index,
+                &plan.shards[shard],
                 evidence,
-                per_shard_config,
+                &per_shard_config,
             );
             driver.defer_promotions();
             driver.enable_trace();
-            if let Some(seed) = seeds_ref[shard].lock().expect("seed lock").take() {
-                driver.seed_worklist(&seed.active);
-                for (id, memo) in seed.memos {
-                    driver.seed_memo(id, memo);
-                }
-                for (id, set) in seed.certs {
-                    driver.seed_certificates(id, set);
-                }
+            if let Some(seed) = seeds[shard].lock().expect("seed lock").take() {
+                driver.seed_warm(seed);
             }
             MmpWorker {
                 driver,
@@ -995,72 +902,56 @@ pub fn shard_mmp_planned_opts(
             global.delta_since(fence).to_vec()
         },
     );
-    let mut outcomes = outcomes;
     if let Some(warm) = warm {
         warm.store = store;
-        for outcome in &mut outcomes {
+        for outcome in &mut run.outcomes {
             warm.bank.absorb(std::mem::take(&mut outcome.memos));
             warm.certs.absorb(std::mem::take(&mut outcome.certs));
         }
     }
-    assemble(
-        start,
-        plan,
-        coordinator_stats,
-        global,
-        outcomes,
-        epochs,
-        crossed,
-        faults,
-    )
+    assemble(start, plan, coordinator_stats, run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_core::framework::{mmp_with_order, smp_with_order};
+    use crate::partition::{estimate_costs, SplitPolicy};
+    use em_core::framework::{mmp_with_order, no_mp_baseline, smp_with_order};
     use em_core::testing::paper_example;
 
-    fn config(shards: usize, policy: SplitPolicy) -> ShardConfig {
-        ShardConfig { shards, policy }
+    fn plan(dataset: &Dataset, cover: &Cover, shards: usize, policy: SplitPolicy) -> ShardPlan {
+        let index = DependencyIndex::build(dataset, cover);
+        ShardPlan::build(&index, shards, &estimate_costs(dataset, cover), policy)
     }
 
-    // Engine-hook shims with the deprecated wrappers' historical shape.
     fn run_shard_smp(
         matcher: &(dyn Matcher + Sync),
         dataset: &Dataset,
         cover: &Cover,
         evidence: &Evidence,
-        config: &ShardConfig,
+        shards: usize,
+        policy: SplitPolicy,
     ) -> (MatchOutput, ShardReport) {
         let index = DependencyIndex::build(dataset, cover);
-        let plan = ShardPlan::build(
-            &index,
-            config.shards,
-            &estimate_costs(dataset, cover),
-            config.policy,
-        );
-        shard_smp_planned(matcher, dataset, cover, &index, &plan, evidence)
+        let plan = plan(dataset, cover, shards, policy);
+        let opts = RuntimeOptions::default();
+        shard_smp_planned_opts(matcher, dataset, cover, &index, &plan, evidence, &opts)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_shard_mmp(
         matcher: &(dyn ProbabilisticMatcher + Sync),
         dataset: &Dataset,
         cover: &Cover,
         evidence: &Evidence,
         mmp_config: &MmpConfig,
-        config: &ShardConfig,
+        shards: usize,
+        policy: SplitPolicy,
     ) -> (MatchOutput, ShardReport) {
         let index = DependencyIndex::build(dataset, cover);
-        let plan = ShardPlan::build(
-            &index,
-            config.shards,
-            &estimate_costs(dataset, cover),
-            config.policy,
-        );
-        shard_mmp_planned(
-            matcher, dataset, cover, &index, &plan, evidence, mmp_config, None,
+        let plan = plan(dataset, cover, shards, policy);
+        let opts = RuntimeOptions::default();
+        shard_mmp_planned_opts(
+            matcher, dataset, cover, &index, &plan, evidence, mmp_config, None, &opts,
         )
     }
 
@@ -1089,13 +980,8 @@ mod tests {
         let sequential = smp(&matcher, &ds, &cover, &Evidence::none());
         for policy in [SplitPolicy::Pin, SplitPolicy::Split] {
             for shards in [1, 2, 3, 5] {
-                let (out, report) = run_shard_smp(
-                    &matcher,
-                    &ds,
-                    &cover,
-                    &Evidence::none(),
-                    &config(shards, policy),
-                );
+                let (out, report) =
+                    run_shard_smp(&matcher, &ds, &cover, &Evidence::none(), shards, policy);
                 assert_eq!(out.matches, sequential.matches, "shards={shards}");
                 assert_eq!(report.shards, shards);
                 assert!(report.epochs >= 2, "work epoch + confirming epoch");
@@ -1124,7 +1010,8 @@ mod tests {
                     &cover,
                     &Evidence::none(),
                     &MmpConfig::default(),
-                    &config(shards, policy),
+                    shards,
+                    policy,
                 );
                 assert_eq!(out.matches, expected, "shards={shards} policy={policy:?}");
                 assert_eq!(out.stats.rounds, report.epochs);
@@ -1146,9 +1033,85 @@ mod tests {
             &cover,
             &Evidence::none(),
             &mmp_config,
-            &config(3, SplitPolicy::Split),
+            3,
+            SplitPolicy::Split,
         );
         assert_eq!(out.matches, expected);
+    }
+
+    fn run_shard_no_mp(
+        matcher: &(dyn Matcher + Sync),
+        dataset: &Dataset,
+        cover: &Cover,
+        evidence: &Evidence,
+        shards: usize,
+        opts: &RuntimeOptions,
+    ) -> (MatchOutput, ShardReport) {
+        let plan = plan(dataset, cover, shards, SplitPolicy::Split);
+        shard_no_mp_planned_opts(matcher, dataset, cover, &plan, evidence, opts)
+    }
+
+    #[test]
+    fn shard_no_mp_equals_the_baseline() {
+        let (ds, cover, matcher, _) = paper_example();
+        // Caller evidence on both sides: a supplied match and a blocked
+        // pair the matcher would otherwise find.
+        let evidence = Evidence::new(
+            [Pair::new(em_core::EntityId(0), em_core::EntityId(1))]
+                .into_iter()
+                .collect(),
+            [Pair::new(em_core::EntityId(5), em_core::EntityId(6))]
+                .into_iter()
+                .collect(),
+        );
+        for ev in [Evidence::none(), evidence] {
+            let baseline = no_mp_baseline(&matcher, &ds, &cover, &ev);
+            for shards in [1, 2, 3, 5] {
+                let (out, report) = run_shard_no_mp(
+                    &matcher,
+                    &ds,
+                    &cover,
+                    &ev,
+                    shards,
+                    &RuntimeOptions::default(),
+                );
+                assert_eq!(out.matches, baseline.matches, "shards={shards}");
+                assert_eq!(
+                    out.stats.neighborhoods_processed,
+                    cover.len() as u64,
+                    "every neighborhood is evaluated exactly once"
+                );
+                assert_eq!(report.epoch_traces[0].len(), cover.len());
+                assert!(report.epoch_traces[1..].iter().all(Vec::is_empty));
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_traces_sum_to_the_evaluations() {
+        let (ds, cover, matcher, _) = paper_example();
+        let none = Evidence::none();
+        let opts = RuntimeOptions::default();
+        let runs = [
+            run_shard_no_mp(&matcher, &ds, &cover, &none, 2, &opts),
+            run_shard_smp(&matcher, &ds, &cover, &none, 2, SplitPolicy::Split),
+            run_shard_mmp(
+                &matcher,
+                &ds,
+                &cover,
+                &none,
+                &MmpConfig::default(),
+                2,
+                SplitPolicy::Split,
+            ),
+        ];
+        for (out, report) in runs {
+            let recorded: usize = report.epoch_traces.iter().map(Vec::len).sum();
+            assert_eq!(recorded as u64, out.stats.neighborhoods_processed);
+            assert_eq!(report.epoch_traces.len() as u64, report.epochs);
+            // The first epoch touches every neighborhood.
+            assert_eq!(report.epoch_traces[0].len(), cover.len());
+        }
     }
 
     #[test]
@@ -1160,7 +1123,8 @@ mod tests {
             &cover,
             &Evidence::none(),
             &MmpConfig::default(),
-            &config(2, SplitPolicy::Split),
+            2,
+            SplitPolicy::Split,
         );
         assert_eq!(
             report
@@ -1172,7 +1136,7 @@ mod tests {
         );
         assert_eq!(report.neighborhood_costs.len(), cover.len());
         // Every neighborhood was measured at least once.
-        assert_eq!(report.measured.len(), cover.len());
+        assert_eq!(report.measured().len(), cover.len());
         assert!(report.est_skew >= 1.0 - 1e-9);
         assert!(report.busy_skew >= 1.0 - 1e-9);
         assert!(report.speedup >= 1.0 - 1e-9);
@@ -1184,7 +1148,7 @@ mod tests {
         let (ds, cover, matcher, expected) = paper_example();
         let index = DependencyIndex::build(&ds, &cover);
         let plan = ShardPlan::build(&index, 2, &estimate_costs(&ds, &cover), SplitPolicy::Split);
-        let (out, report) = shard_mmp_planned(
+        let (out, report) = shard_mmp_planned_opts(
             &matcher,
             &ds,
             &cover,
@@ -1193,6 +1157,7 @@ mod tests {
             &Evidence::none(),
             &MmpConfig::default(),
             None,
+            &RuntimeOptions::default(),
         );
         assert_eq!(out.matches, expected);
 
@@ -1200,14 +1165,14 @@ mod tests {
         assert_eq!(replanned.shards.len(), plan.shards.len());
         assert_eq!(replanned.policy, plan.policy);
         // The balancer's cost slice is now the measured busy times.
-        for &(id, busy) in &report.measured {
+        for &(id, busy) in &report.measured() {
             assert_eq!(replanned.costs[id.index()], (busy.as_nanos() as u64).max(1));
         }
         // Still a partition, and the fixpoint does not depend on the plan.
         let mut seen: Vec<NeighborhoodId> = replanned.shards.iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen.len(), cover.len());
-        let (again, report2) = shard_mmp_planned(
+        let (again, report2) = shard_mmp_planned_opts(
             &matcher,
             &ds,
             &cover,
@@ -1216,6 +1181,7 @@ mod tests {
             &Evidence::none(),
             &MmpConfig::default(),
             None,
+            &RuntimeOptions::default(),
         );
         assert_eq!(again.matches, expected);
         assert_eq!(report2.shards, 2);
@@ -1303,6 +1269,20 @@ mod tests {
         assert_eq!(out.matches, sequential.matches);
         assert_eq!(report.shard_panics, 1);
         assert_eq!(report.shards_recovered, 1);
+    }
+
+    #[test]
+    fn panicked_no_mp_shard_recovers_too() {
+        quiet_injected_panics();
+        let (ds, cover, matcher, _) = paper_example();
+        let baseline = no_mp_baseline(&matcher, &ds, &cover, &Evidence::none());
+        for epoch in [1, 2] {
+            let opts =
+                RuntimeOptions::with_faults(crate::fault::FaultPlan::new().panic_shard(1, epoch));
+            let (out, report) = run_shard_no_mp(&matcher, &ds, &cover, &Evidence::none(), 3, &opts);
+            assert_eq!(out.matches, baseline.matches, "epoch={epoch}");
+            assert_eq!(report.shards_recovered, 1);
+        }
     }
 
     #[test]
@@ -1427,7 +1407,7 @@ mod tests {
         let plan = ShardPlan::build(&index, 2, &estimate_costs(&ds, &cover), SplitPolicy::Split);
         // Healthy warm run to fill the bank...
         let mut warm = WarmStart::new();
-        let (first, _) = shard_mmp_planned(
+        let (first, _) = shard_mmp_planned_opts(
             &matcher,
             &ds,
             &cover,
@@ -1436,6 +1416,7 @@ mod tests {
             &Evidence::none(),
             &MmpConfig::default(),
             Some(&mut warm),
+            &RuntimeOptions::default(),
         );
         assert_eq!(first.matches, expected);
         warm.entity_floor = ds.entities.len() as u32;
@@ -1475,7 +1456,8 @@ mod tests {
             &cover,
             &evidence,
             &MmpConfig::default(),
-            &config(2, SplitPolicy::Split),
+            2,
+            SplitPolicy::Split,
         );
         assert_eq!(sharded.matches, sequential.matches);
         assert!(smp_out.matches.is_subset(&sharded.matches));

@@ -50,8 +50,8 @@
 //! | [`em_blocking`] | canopy blocking → total covers |
 //! | [`em_similarity`] | interned feature cache + similarity kernels |
 //! | [`em_mln`], [`em_rules`] | the paper's MLN and RULES matchers |
-//! | [`em_parallel`] | round-based parallel executor + grid simulator |
-//! | [`em_shard`] | epoch-fenced sharded runtime |
+//! | [`em_shard`] | epoch-fenced sharded runtime (the parallel backend) |
+//! | [`em_parallel`] | Table 1 grid simulator, replaying sharded-run epoch traces |
 //! | [`em_store`] | `em-store-v1` codec: versioned snapshots + the CRC-guarded WAL behind [`Pipeline::store`](pipeline::Pipeline::store) |
 //! | `em-serve` | serving daemon hosting N sessions over a change stream (sits *above* this crate, so no re-export: micro-batching, freshness scheduling, per-session workers, LRU eviction) |
 //! | `em-net` | socket transport + query protocol for `em-serve` (Unix-domain / localhost TCP, store-codec framing) |

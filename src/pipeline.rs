@@ -2,18 +2,18 @@
 //! [`MatchSession`].
 //!
 //! The framework is one abstraction — run a black-box matcher on a
-//! cover, pass messages — but the workspace grew four divergent surfaces
-//! for it (the sequential free functions, the round-based parallel
-//! executor, the sharded runtime, and per-binary hand-wiring of feature
-//! cache → blocking → cover → matcher). This module folds them behind a
-//! single builder:
+//! cover, pass messages — with one engine underneath: the delta-driven
+//! [`SmpDriver`]/[`MmpDriver`], run either inline on the calling thread
+//! or as one driver per shard of the epoch-fenced `em-shard` runtime.
+//! This module puts the wiring (feature cache → blocking → cover →
+//! matcher → engine) behind a single builder:
 //!
 //! ```text
 //! Pipeline::new(dataset)
 //!     .blocking(BlockingConfig)      // or .cover(prebuilt_total_cover)
 //!     .matcher(MatcherChoice)        // MLN (exact | walksat), RULES, custom
 //!     .scheme(Scheme)                // NoMp | Smp | Mmp
-//!     .backend(Backend)              // Sequential | Parallel | Sharded
+//!     .backend(Backend)              // Sequential | Sharded
 //!     .incremental(bool)             // MMP probe replay
 //!     .memo_capacity(usize)          // probe-memo LRU bound
 //!     .build()?                      // validates → MatchSession
@@ -60,10 +60,10 @@ use em_core::{
     PairCache, PairSet, ProbabilisticMatcher, SimLevel,
 };
 use em_mln::{InferenceBackend, LocalSearchParams, MlnMatcher, MlnModel};
-use em_parallel::{execute_mmp, execute_no_mp, execute_smp, ParallelConfig, RoundTrace};
 use em_rules::{paper_rules, RulesMatcher};
 use em_shard::{
-    estimate_costs, shard_mmp_planned_opts, shard_smp_planned_opts, ShardPlan, ShardReport,
+    estimate_costs, shard_mmp_planned_opts, shard_no_mp_planned_opts, shard_smp_planned_opts,
+    ShardPlan, ShardReport,
 };
 use em_similarity::{FeatureCache, FeatureConfig};
 use std::fmt;
@@ -94,12 +94,9 @@ pub enum Backend {
     /// One delta-driven driver on the calling thread.
     #[default]
     Sequential,
-    /// The round-based parallel executor (§6.3).
-    Parallel {
-        /// Worker threads per round.
-        workers: usize,
-    },
-    /// The epoch-fenced sharded runtime (`em-shard`).
+    /// The epoch-fenced sharded runtime (`em-shard`): one driver thread
+    /// per shard, evidence exchanged at epoch fences — the paper's
+    /// parallel scheme (§6.3).
     Sharded {
         /// Shard count (one driver thread each).
         shards: usize,
@@ -181,12 +178,6 @@ pub enum PipelineError {
         /// The offending matcher choice.
         matcher: &'static str,
     },
-    /// NO-MP exchanges no messages, so the epoch-fenced sharded runtime
-    /// has nothing to do for it; use [`Backend::Parallel`] to spread
-    /// independent neighborhood runs over threads.
-    ShardedNoMp,
-    /// [`Backend::Parallel`] with zero workers.
-    ZeroWorkers,
     /// [`Backend::Sharded`] with zero shards.
     ZeroShards,
     /// A probe-memo capacity of zero can hold nothing; use
@@ -214,12 +205,6 @@ impl fmt::Display for PipelineError {
                 f,
                 "Scheme::Mmp needs a probabilistic (Type-II) matcher; {matcher} is Type-I"
             ),
-            PipelineError::ShardedNoMp => write!(
-                f,
-                "NO-MP has no messages to exchange; use Backend::Parallel instead of \
-                 Backend::Sharded"
-            ),
-            PipelineError::ZeroWorkers => write!(f, "Backend::Parallel needs at least one worker"),
             PipelineError::ZeroShards => write!(f, "Backend::Sharded needs at least one shard"),
             PipelineError::ZeroMemoCapacity => write!(
                 f,
@@ -474,7 +459,7 @@ impl Pipeline {
 
     /// Replace the sharded runtime's knobs wholesale: fence-timeout
     /// budget, retry count, and the fault plan. Ignored by the
-    /// sequential and parallel backends (the invariant flag is
+    /// sequential backend (the invariant flag is
     /// session-wide and set by [`Pipeline::check_invariants`]).
     pub fn runtime_options(mut self, opts: RuntimeOptions) -> Self {
         self.runtime = opts;
@@ -528,13 +513,8 @@ impl Pipeline {
         runtime.check_invariants = check_invariants;
 
         // --- combination validation (every arm is a typed error) ---
-        match backend {
-            Backend::Parallel { workers: 0 } => return Err(PipelineError::ZeroWorkers),
-            Backend::Sharded { shards: 0, .. } => return Err(PipelineError::ZeroShards),
-            Backend::Sharded { .. } if scheme == Scheme::NoMp => {
-                return Err(PipelineError::ShardedNoMp)
-            }
-            _ => {}
+        if let Backend::Sharded { shards: 0, .. } = backend {
+            return Err(PipelineError::ZeroShards);
         }
         if memo_capacity == 0 {
             return Err(PipelineError::ZeroMemoCapacity);
@@ -690,15 +670,8 @@ pub struct StageTimings {
 pub enum BackendReport {
     /// Sequential runs have nothing extra to say.
     Sequential,
-    /// The parallel executor's per-round evaluation trace (feeds the
-    /// grid simulator).
-    Parallel {
-        /// Worker threads used.
-        workers: usize,
-        /// Per-round, per-neighborhood measured costs.
-        trace: RoundTrace,
-    },
-    /// The sharded runtime's load/skew/makespan ledger.
+    /// The sharded runtime's load/skew/makespan ledger, with the
+    /// per-epoch evaluation traces the grid simulator replays.
     Sharded(Box<ShardReport>),
 }
 
@@ -1058,7 +1031,7 @@ impl MatchSession {
         // balance history. The current plan (built from the last full
         // measurement or the estimate) stays in force instead.
         if let (Some(plan), Some(report)) = (&self.plan, &self.last_shard_report) {
-            if report.measured.len() == self.cover.len() {
+            if report.measured().len() == self.cover.len() {
                 let t0 = Instant::now();
                 self.plan = Some(plan.replan_from(&self.index, report));
                 self.pending_planning += t0.elapsed();
@@ -1149,40 +1122,7 @@ impl MatchSession {
                 // empty bank misses everywhere, which degenerates to the
                 // cold full worklist.
                 if self.mmp_config.incremental {
-                    let mut active: Vec<em_core::NeighborhoodId> = Vec::new();
-                    for id in self.cover.ids() {
-                        let view = self.cover.view(&self.dataset, id);
-                        match warm.bank.withdraw_grown(&view, warm.entity_floor) {
-                            // Identical view: quiescent; skip it. Its
-                            // certificates ride along so a later routed
-                            // delta can still elide probes (and so the
-                            // run's final banking re-deposits them).
-                            Some((memo, true)) => {
-                                driver.seed_memo(id, memo);
-                                if let Some(set) =
-                                    warm.certs.withdraw_grown(&view, warm.entity_floor)
-                                {
-                                    driver.seed_certificates(id, set);
-                                }
-                            }
-                            // Grown or tainted view: must re-evaluate,
-                            // but probes in components no change reaches
-                            // replay — and touched probes whose
-                            // certificate gap survives the delta's
-                            // footprint replay too.
-                            Some((memo, false)) => {
-                                driver.seed_memo(id, memo);
-                                if let Some(set) =
-                                    warm.certs.withdraw_grown(&view, warm.entity_floor)
-                                {
-                                    driver.seed_certificates(id, set);
-                                }
-                                active.push(id);
-                            }
-                            None => active.push(id),
-                        }
-                    }
-                    driver.seed_worklist(&active);
+                    driver.seed_warm(warm.withdraw(&self.dataset, &self.cover, self.cover.ids()));
                     driver.warm_store(std::mem::take(&mut warm.store));
                 }
                 driver.run(matcher, scorer.as_ref());
@@ -1193,39 +1133,17 @@ impl MatchSession {
                 }
                 (driver.finish(start), BackendReport::Sequential)
             }
-            (scheme, Backend::Parallel { workers }) => {
-                let config = ParallelConfig { workers };
-                let (output, trace) = match scheme {
-                    Scheme::NoMp => execute_no_mp(
-                        self.matcher.as_matcher(),
-                        &self.dataset,
-                        &self.cover,
-                        evidence,
-                        &config,
-                    ),
-                    Scheme::Smp => execute_smp(
-                        self.matcher.as_matcher(),
-                        &self.dataset,
-                        &self.cover,
-                        Some(&self.index),
-                        evidence,
-                        &config,
-                    ),
-                    Scheme::Mmp => execute_mmp(
-                        self.probabilistic(),
-                        &self.dataset,
-                        &self.cover,
-                        Some(&self.index),
-                        evidence,
-                        &self.mmp_config,
-                        &config,
-                    ),
-                };
-                (output, BackendReport::Parallel { workers, trace })
-            }
             (scheme, Backend::Sharded { .. }) => {
                 let plan = self.plan.as_ref().expect("sharded sessions hold a plan");
                 let (output, report) = match scheme {
+                    Scheme::NoMp => shard_no_mp_planned_opts(
+                        self.matcher.as_matcher(),
+                        &self.dataset,
+                        &self.cover,
+                        plan,
+                        evidence,
+                        &self.runtime,
+                    ),
                     Scheme::Smp => shard_smp_planned_opts(
                         self.matcher.as_matcher(),
                         &self.dataset,
@@ -1246,7 +1164,6 @@ impl MatchSession {
                         Some(warm),
                         &self.runtime,
                     ),
-                    Scheme::NoMp => unreachable!("rejected at build time (ShardedNoMp)"),
                 };
                 (output, BackendReport::Sharded(Box::new(report)))
             }

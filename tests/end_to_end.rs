@@ -1,6 +1,6 @@
 //! End-to-end integration tests spanning every crate through the
 //! `em::Pipeline` front door: generation → blocking → cover → matchers →
-//! framework → evaluation → parallelism.
+//! framework → evaluation → sharded execution.
 
 use em::{Backend, Evidence, MatcherChoice, Pipeline, Scheme};
 use em_bench::prepare;
@@ -60,19 +60,31 @@ fn dblp_pipeline_schemes_are_sound_and_mmp_complete() {
 
 #[test]
 fn parallel_equals_sequential_on_generated_workload() {
+    // NO-MP and SMP on the sharded (parallel) backend reach the
+    // sequential fixpoint, and the epoch traces account for every
+    // evaluation. Sharded MMP is the next test's.
     let w = prepare("dblp", 0.006, Some(13));
-    let sequential = session(&w, Scheme::Smp, Backend::Sequential).run();
-    for workers in [1, 4] {
-        let parallel = session(&w, Scheme::Smp, Backend::Parallel { workers }).run();
-        assert_eq!(parallel.matches, sequential.matches, "workers={workers}");
-        match parallel.backend {
-            em::BackendReport::Parallel { trace, .. } => assert!(!trace.is_empty()),
-            other => panic!("expected a parallel report, got {other:?}"),
+    for scheme in [Scheme::NoMp, Scheme::Smp] {
+        let sequential = session(&w, scheme, Backend::Sequential).run();
+        for shards in [1, 4] {
+            let backend = Backend::Sharded {
+                shards,
+                split_policy: em::SplitPolicy::Split,
+            };
+            let parallel = session(&w, scheme, backend).run();
+            assert_eq!(
+                parallel.matches, sequential.matches,
+                "{scheme:?} shards={shards}"
+            );
+            match parallel.backend {
+                em::BackendReport::Sharded(report) => {
+                    let evaluations: usize = report.epoch_traces.iter().map(Vec::len).sum();
+                    assert_eq!(evaluations as u64, parallel.stats.neighborhoods_processed);
+                }
+                other => panic!("expected a sharded report, got {other:?}"),
+            }
         }
     }
-    let sequential_mmp = session(&w, Scheme::Mmp, Backend::Sequential).run();
-    let parallel_mmp = session(&w, Scheme::Mmp, Backend::Parallel { workers: 3 }).run();
-    assert_eq!(parallel_mmp.matches, sequential_mmp.matches);
 }
 
 #[test]

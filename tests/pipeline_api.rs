@@ -131,26 +131,33 @@ fn infinite_certificate_slack_breaches_every_certificate() {
 }
 
 #[test]
-fn sharded_no_mp_is_rejected() {
-    let (dataset, cover, _, _) = paper_example();
-    let err = Pipeline::new(dataset)
-        .cover(cover)
-        .scheme(Scheme::NoMp)
-        .backend(sharded(2))
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, PipelineError::ShardedNoMp), "{err}");
+fn sharded_no_mp_equals_sequential_no_mp() {
+    let (dataset, cover, matcher, _) = paper_example();
+    let run = |backend: Backend| {
+        Pipeline::new(dataset.clone())
+            .cover(cover.clone())
+            .matcher(MatcherChoice::custom_probabilistic(matcher.clone()))
+            .scheme(Scheme::NoMp)
+            .backend(backend)
+            .build()
+            .expect("NO-MP builds on every backend")
+            .run()
+    };
+    let sequential = run(Backend::Sequential);
+    for shards in [1, 2, 4] {
+        let out = run(sharded(shards));
+        assert_eq!(out.matches, sequential.matches, "shards={shards}");
+        assert_eq!(
+            out.stats.neighborhoods_processed,
+            sequential.stats.neighborhoods_processed
+        );
+        assert!(matches!(out.backend, em::BackendReport::Sharded(_)));
+    }
 }
 
 #[test]
-fn zero_workers_and_zero_shards_are_rejected() {
+fn zero_shards_are_rejected() {
     let (dataset, cover, _, _) = paper_example();
-    let err = Pipeline::new(dataset.clone())
-        .cover(cover.clone())
-        .backend(Backend::Parallel { workers: 0 })
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, PipelineError::ZeroWorkers), "{err}");
     let err = Pipeline::new(dataset)
         .cover(cover)
         .backend(sharded(0))
@@ -206,25 +213,21 @@ fn non_total_cover_is_rejected() {
 fn deprecated_wrappers_agree_with_sessions() {
     let (dataset, cover, matcher, expected) = paper_example();
     let none = Evidence::none();
-    let build = |scheme: Scheme, backend: Backend| {
+    let build = |scheme: Scheme| {
         Pipeline::new(dataset.clone())
             .cover(cover.clone())
             .matcher(MatcherChoice::custom_probabilistic(matcher.clone()))
             .scheme(scheme)
-            .backend(backend)
             .build()
             .expect("coherent")
             .run()
     };
 
     let nomp = em_core::framework::no_mp(&matcher, &dataset, &cover, &none);
-    assert_eq!(
-        nomp.matches,
-        build(Scheme::NoMp, Backend::Sequential).matches
-    );
+    assert_eq!(nomp.matches, build(Scheme::NoMp).matches);
 
     let smp = em_core::framework::smp(&matcher, &dataset, &cover, &none);
-    assert_eq!(smp.matches, build(Scheme::Smp, Backend::Sequential).matches);
+    assert_eq!(smp.matches, build(Scheme::Smp).matches);
 
     let mmp = em_core::framework::mmp(
         &matcher,
@@ -234,42 +237,7 @@ fn deprecated_wrappers_agree_with_sessions() {
         &em_core::framework::MmpConfig::default(),
     );
     assert_eq!(mmp.matches, expected);
-    assert_eq!(mmp.matches, build(Scheme::Mmp, Backend::Sequential).matches);
-
-    let config = em_parallel::ParallelConfig { workers: 2 };
-    let (psmp, _) = em_parallel::parallel_smp(&matcher, &dataset, &cover, &none, &config);
-    assert_eq!(
-        psmp.matches,
-        build(Scheme::Smp, Backend::Parallel { workers: 2 }).matches
-    );
-    let (pmmp, _) = em_parallel::parallel_mmp(
-        &matcher,
-        &dataset,
-        &cover,
-        &none,
-        &em_core::framework::MmpConfig::default(),
-        &config,
-    );
-    assert_eq!(
-        pmmp.matches,
-        build(Scheme::Mmp, Backend::Parallel { workers: 2 }).matches
-    );
-
-    let shard_config = em_shard::ShardConfig {
-        shards: 2,
-        policy: SplitPolicy::Split,
-    };
-    let (ssmp, _) = em_shard::shard_smp(&matcher, &dataset, &cover, &none, &shard_config);
-    assert_eq!(ssmp.matches, build(Scheme::Smp, sharded(2)).matches);
-    let (smmp, _) = em_shard::shard_mmp(
-        &matcher,
-        &dataset,
-        &cover,
-        &none,
-        &em_core::framework::MmpConfig::default(),
-        &shard_config,
-    );
-    assert_eq!(smmp.matches, build(Scheme::Mmp, sharded(2)).matches);
+    assert_eq!(mmp.matches, build(Scheme::Mmp).matches);
 }
 
 // ---------------------------------------------------------------------
@@ -401,21 +369,22 @@ fn provided_evidence_reaches_every_backend() {
     // Block the pair the paper example always matches.
     let blocked = Pair::new(EntityId(5), EntityId(6));
     let negative: em::PairSet = [blocked].into_iter().collect();
-    for backend in [
-        Backend::Sequential,
-        Backend::Parallel { workers: 2 },
-        sharded(2),
+    for (scheme, backend) in [
+        (Scheme::NoMp, Backend::Sequential),
+        (Scheme::Smp, Backend::Sequential),
+        (Scheme::NoMp, sharded(2)),
+        (Scheme::Smp, sharded(2)),
     ] {
         let out = Pipeline::new(dataset.clone())
             .cover(cover.clone())
             .matcher(MatcherChoice::custom_probabilistic(matcher.clone()))
-            .scheme(Scheme::Smp)
+            .scheme(scheme)
             .backend(backend)
             .evidence(Evidence::new(em::PairSet::new(), negative.clone()))
             .build()
             .expect("coherent")
             .run();
-        assert!(!out.matches.contains(blocked), "{backend:?}");
+        assert!(!out.matches.contains(blocked), "{scheme:?} {backend:?}");
     }
 }
 
