@@ -74,18 +74,27 @@ fn bench_canopy(c: &mut Criterion) {
 
 /// A chain instance: n refs in pairs connected through coauthor edges.
 fn chain_dataset(pairs: u32) -> (Dataset, MlnModel) {
+    chains_dataset(1, pairs, SimLevel(1))
+}
+
+/// `chains` disjoint chain instances of `pairs` pairs each, every pair
+/// similar at `level`: one ground component per chain.
+fn chains_dataset(chains: u32, pairs: u32, level: SimLevel) -> (Dataset, MlnModel) {
     let mut ds = Dataset::new();
     let ty = ds.entities.intern_type("author_ref");
-    for _ in 0..pairs * 2 {
+    for _ in 0..chains * pairs * 2 {
         ds.entities.add_entity(ty);
     }
     let co = ds.relations.declare("coauthor", true);
-    for i in 0..pairs {
-        let (a, b) = (2 * i, 2 * i + 1);
-        ds.set_similar(Pair::new(EntityId(a), EntityId(b)), SimLevel(1));
-        if i + 1 < pairs {
-            ds.relations.add_tuple(co, EntityId(a), EntityId(2 * i + 2));
-            ds.relations.add_tuple(co, EntityId(b), EntityId(2 * i + 3));
+    for c in 0..chains {
+        let first = c * pairs * 2;
+        for i in 0..pairs {
+            let (a, b) = (first + 2 * i, first + 2 * i + 1);
+            ds.set_similar(Pair::new(EntityId(a), EntityId(b)), level);
+            if i + 1 < pairs {
+                ds.relations.add_tuple(co, EntityId(a), EntityId(a + 2));
+                ds.relations.add_tuple(co, EntityId(b), EntityId(b + 2));
+            }
         }
     }
     let model = MlnModel::paper_model(co);
@@ -104,10 +113,27 @@ fn bench_mln(c: &mut Criterion) {
             b.iter(|| black_box(solve_map(gm, &Evidence::none())))
         });
         group.bench_with_input(BenchmarkId::new("probe", pairs), &gm, |b, gm| {
-            let mut solver = MapSolver::new(gm, &Evidence::none());
+            let solver = MapSolver::new(gm, &Evidence::none());
             let probe = gm.vars[0];
             b.iter(|| black_box(solver.probe_delta(black_box(probe))))
         });
+    }
+    // Probe cost should not grow with the number of components around
+    // the probed one.
+    for components in [32u32, 128, 512] {
+        let (ds, model) = chains_dataset(components, 2, SimLevel(2));
+        let gm = ground(&model, &ds.full_view());
+        let last = 4 * (components - 1);
+        let probe = Pair::new(EntityId(last), EntityId(last + 1));
+        group.bench_with_input(
+            BenchmarkId::new("probe_components", components),
+            &gm,
+            |b, gm| {
+                let solver = MapSolver::new(gm, &Evidence::none());
+                assert!(!solver.base_solution().contains(probe), "a real probe");
+                b.iter(|| black_box(solver.probe_delta(black_box(probe))))
+            },
+        );
     }
     group.finish();
 }

@@ -5,7 +5,7 @@
 //! `w_e > 0`. Maximizing it is a *project selection* problem: each
 //! hyperedge is a "project" with profit `w_e` that requires all its
 //! variables; each variable has profit `u_v` (possibly negative). Project
-//! selection is a maximum-weight closure instance, solved exactly by one
+//! selection is a maximum-weight closure instance, solved exactly by a
 //! min-cut:
 //!
 //! * source → node with capacity `profit` for positive-profit nodes,
@@ -20,6 +20,16 @@
 //! Evidence is folded in before the cut: `V−` variables are deleted along
 //! with their edges; `V+` variables are contracted (removed from edges,
 //! and edges they fully satisfy become unary bonuses on the remainder).
+//!
+//! The reduced problem factorizes over the connected components of the
+//! reduced hyperedges, and so does the cut. Two components' closure
+//! networks share only the source and the sink; after max-flow the
+//! source cannot reach the sink in the residual graph, so no residual
+//! path crosses from one component to another. Each component is
+//! therefore cut on its own network, and the union of the per-component
+//! maximal source sides is the maximal source side of the whole network.
+//! A variable that no reduced hyperedge touches is a component of its
+//! own, selected iff its profit is non-negative.
 
 use crate::ground::GroundModel;
 use crate::maxflow::MaxFlow;
@@ -40,16 +50,73 @@ enum State {
     ForcedFalse,
 }
 
+/// Marks a free variable that no reduced hyperedge touches.
+const UNCOUPLED: u32 = u32::MAX;
+
+/// One connected component of the reduced hyperedges.
+#[derive(Default)]
+struct Component {
+    /// Member free indices, ascending; a member's position here is its
+    /// local index.
+    vars: Vec<u32>,
+    /// Reduced profit per member, by local index.
+    profit: Vec<Score>,
+    /// Reduced hyperedges over local indices.
+    edges: Vec<(Vec<u32>, Score)>,
+}
+
+impl Component {
+    /// Maximal optimum of this component's closure problem, by local
+    /// index, with member `forced` (if any) pinned to the source side.
+    fn solve(&self, forced: Option<usize>) -> Vec<bool> {
+        let k = self.vars.len();
+        let source = k + self.edges.len();
+        let sink = source + 1;
+        let mut net = MaxFlow::new(sink + 1);
+        for (i, &p) in self.profit.iter().enumerate() {
+            if p > Score::ZERO {
+                net.add_edge(source, i, p.0);
+            } else if p < Score::ZERO {
+                net.add_edge(i, sink, -p.0);
+            }
+        }
+        for (ei, (vars, w)) in self.edges.iter().enumerate() {
+            let enode = k + ei;
+            net.add_edge(source, enode, w.0);
+            for &v in vars {
+                net.add_edge(enode, v as usize, MaxFlow::INF);
+            }
+        }
+        if let Some(v) = forced {
+            net.add_edge(source, v, MaxFlow::INF);
+        }
+        net.max_flow(source, sink);
+        let mut side = net.max_source_side(sink);
+        side.truncate(k);
+        side
+    }
+}
+
+/// Union-find root of `x`, with path halving.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
+    }
+    x
+}
+
 /// A solved conditioned MAP problem that supports cheap *probes*:
 /// `E(C, V+ ∪ {p})` for many `p` against the same view and evidence.
 ///
 /// `COMPUTEMAXIMAL` (Algorithm 2) issues one conditioned matcher call per
-/// undecided candidate pair; re-solving from scratch makes that the
-/// dominant cost of MMP. A probe here instead clones the solved residual
-/// network, forces the probed variable to the source side with an
-/// infinite source edge, and *augments* — incremental max-flow touches
-/// only the region the forced variable pulls in, so a probe costs a
-/// small fraction of a fresh solve.
+/// undecided candidate pair; re-solving the whole view from scratch makes
+/// that the dominant cost of MMP. Forcing `p` true can only change
+/// decisions inside `p`'s component (see the module docs), so a probe
+/// solves that component's network alone with `p` pinned to the source
+/// side, and a probe of a variable no hyperedge touches needs no flow
+/// computation at all. A probe's cost is independent of the size of the
+/// rest of the view.
 pub struct MapSolver<'a> {
     gm: &'a GroundModel,
     state: Vec<State>,
@@ -57,27 +124,16 @@ pub struct MapSolver<'a> {
     free: Vec<u32>,
     /// var id → free index (or `u32::MAX`).
     free_index: Vec<u32>,
-    net: MaxFlow,
-    source: usize,
-    sink: usize,
-    /// Max-source-side membership of the base solve, per free index.
+    /// free index → component id, or [`UNCOUPLED`].
+    component_of: Vec<u32>,
+    components: Vec<Component>,
+    /// Maximal optimum of the base problem, per free index.
     base_selected: Vec<bool>,
-    /// Pre-allocated zero-capacity `source → free var` edges, armed to
-    /// INF one at a time by probes.
-    probe_edges: Vec<u32>,
-    /// Capacity snapshot of the solved base network (probe rollback).
-    base_caps: Vec<i64>,
-    /// Whether each free var appears in a reduced hyperedge. A variable
-    /// with no edges interacts with nothing: forcing it true entails no
-    /// other pair (supermodular separability), so its probe needs no
-    /// flow computation at all. In bibliographic workloads the vast
-    /// majority of candidate pairs have no relational witnesses, making
-    /// this the dominant probe fast path.
-    coupled: Vec<bool>,
 }
 
 impl<'a> MapSolver<'a> {
-    /// Build the closure network for `gm` under `evidence` and solve it.
+    /// Reduce `gm` under `evidence`, split it into components and solve
+    /// each one.
     pub fn new(gm: &'a GroundModel, evidence: &Evidence) -> Self {
         let n = gm.var_count();
         let mut state = vec![State::Free; n];
@@ -117,36 +173,47 @@ impl<'a> MapSolver<'a> {
             }
         }
 
-        // Closure network.
+        // Label the components of the reduced hyperedges (union-find).
         let nf = free.len();
-        let ne = reduced.len();
-        let source = nf + ne;
-        let sink = source + 1;
-        let mut net = MaxFlow::new(sink + 1);
-        for (i, &p) in profit.iter().enumerate() {
-            if p > Score::ZERO {
-                net.add_edge(source, i, p.0);
-            } else if p < Score::ZERO {
-                net.add_edge(i, sink, -p.0);
-            }
-        }
-        for (ei, (vars, w)) in reduced.iter().enumerate() {
-            let enode = nf + ei;
-            net.add_edge(source, enode, w.0);
-            for &v in vars {
-                net.add_edge(enode, v as usize, MaxFlow::INF);
-            }
-        }
-        // One disarmed (zero-capacity) probe edge per free variable.
-        let probe_edges: Vec<u32> = (0..nf).map(|i| net.add_edge(source, i, 0)).collect();
-        net.max_flow(source, sink);
-        let selected = net.max_source_side(sink);
-        let base_selected: Vec<bool> = (0..nf).map(|i| selected[i]).collect();
-        let base_caps = net.snapshot_caps();
+        let mut parent: Vec<u32> = (0..nf as u32).collect();
         let mut coupled = vec![false; nf];
         for (vars, _) in &reduced {
+            let root = find(&mut parent, vars[0]);
             for &v in vars {
                 coupled[v as usize] = true;
+                let r = find(&mut parent, v);
+                parent[r as usize] = root;
+            }
+        }
+        let mut component_of = vec![UNCOUPLED; nf];
+        let mut component_of_root = vec![UNCOUPLED; nf];
+        let mut local = vec![0u32; nf];
+        let mut components: Vec<Component> = Vec::new();
+        for fi in (0..nf).filter(|&fi| coupled[fi]) {
+            let root = find(&mut parent, fi as u32) as usize;
+            if component_of_root[root] == UNCOUPLED {
+                component_of_root[root] = components.len() as u32;
+                components.push(Component::default());
+            }
+            let c = component_of_root[root];
+            component_of[fi] = c;
+            let comp = &mut components[c as usize];
+            local[fi] = comp.vars.len() as u32;
+            comp.vars.push(fi as u32);
+            comp.profit.push(profit[fi]);
+        }
+        for (mut vars, w) in reduced {
+            let c = component_of[vars[0] as usize] as usize;
+            for v in &mut vars {
+                *v = local[*v as usize];
+            }
+            components[c].edges.push((vars, w));
+        }
+
+        let mut base_selected: Vec<bool> = profit.iter().map(|&p| p >= Score::ZERO).collect();
+        for comp in &components {
+            for (&fi, selected) in comp.vars.iter().zip(comp.solve(None)) {
+                base_selected[fi as usize] = selected;
             }
         }
 
@@ -155,13 +222,9 @@ impl<'a> MapSolver<'a> {
             state,
             free,
             free_index,
-            net,
-            source,
-            sink,
+            component_of,
+            components,
             base_selected,
-            probe_edges,
-            base_caps,
-            coupled,
         }
     }
 
@@ -187,13 +250,11 @@ impl<'a> MapSolver<'a> {
 
     /// The pairs that forcing `extra` true *adds* beyond the base
     /// solution: `E(C, V+ ∪ {extra}) − E(C, V+)`, including `extra`
-    /// itself (empty when `extra` is already decided).
+    /// itself (empty when `extra` is already decided), ascending.
     ///
-    /// Incremental: arms a pre-allocated `source → extra` edge with
-    /// infinite capacity, augments the already-solved network, extracts
-    /// the new maximal source side, and rolls the capacities back — no
-    /// network clone, no full re-solve.
-    pub fn probe_delta(&mut self, extra: Pair) -> Vec<Pair> {
+    /// Solves only `extra`'s component, with `extra` pinned to the
+    /// source side; every other component keeps its base decision.
+    pub fn probe_delta(&self, extra: Pair) -> Vec<Pair> {
         let Some(&v) = self.gm.index.get(&extra) else {
             return Vec::new();
         };
@@ -201,26 +262,27 @@ impl<'a> MapSolver<'a> {
             State::ForcedTrue | State::ForcedFalse => return Vec::new(),
             State::Free => {}
         }
-        let fi = self.free_index[v as usize] as usize;
-        if self.base_selected[fi] {
+        let fi = self.free_index[v as usize];
+        if self.base_selected[fi as usize] {
             return Vec::new(); // already in the maximal optimum
         }
-        if !self.coupled[fi] {
+        let c = self.component_of[fi as usize];
+        if c == UNCOUPLED {
             // No hyperedge touches this variable: forcing it true cannot
             // change any other decision.
             return vec![extra];
         }
-        self.net.set_cap(self.probe_edges[fi], MaxFlow::INF);
-        self.net.max_flow(self.source, self.sink);
-        let selected = self.net.max_source_side(self.sink);
-        let mut delta: Vec<Pair> = Vec::new();
-        for (i, &var) in self.free.iter().enumerate() {
-            if selected[i] && !self.base_selected[i] {
-                delta.push(self.gm.vars[var as usize]);
-            }
-        }
-        self.net.restore_caps(&self.base_caps);
-        delta
+        let comp = &self.components[c as usize];
+        let forced = comp
+            .vars
+            .binary_search(&fi)
+            .expect("member of its component");
+        comp.vars
+            .iter()
+            .zip(comp.solve(Some(forced)))
+            .filter(|&(&fi, selected)| selected && !self.base_selected[fi as usize])
+            .map(|(&fi, _)| self.gm.vars[self.free[fi as usize] as usize])
+            .collect()
     }
 
     /// `E(C, V+ ∪ {extra}, V−)`: the full probed solution
@@ -229,7 +291,7 @@ impl<'a> MapSolver<'a> {
     /// Pairs that are not free variables fall back to the base solution
     /// (forced-false pairs stay excluded: negative evidence wins; unknown
     /// pairs are out of scope for the view).
-    pub fn probe(&mut self, extra: Pair) -> PairSet {
+    pub fn probe(&self, extra: Pair) -> PairSet {
         let delta = self.probe_delta(extra);
         let mut out = self.base_solution();
         out.extend(delta);

@@ -132,10 +132,10 @@ impl Matcher for MlnMatcher {
     ) -> Vec<Vec<Pair>> {
         match &self.backend {
             InferenceBackend::Exact => {
-                // Shared grounding + one base solve; each probe is an
-                // incremental max-flow augmentation with rollback.
+                // Shared grounding + one base solve; each probe re-solves
+                // only the probed pair's component of the reduced model.
                 let gm = self.ground_view(view);
-                let mut solver = MapSolver::new(&gm, evidence);
+                let solver = MapSolver::new(&gm, evidence);
                 probes
                     .iter()
                     .map(|&p| {

@@ -1,10 +1,11 @@
 //! Dinic's maximum-flow algorithm over integer capacities.
 //!
-//! MAP inference for the supermodular MLN model reduces to a
-//! maximum-weight closure problem (see [`crate::infer`]), which is solved
-//! by a single min-cut. Dinic's algorithm (BFS level graph + blocking
-//! flows) runs in `O(V²E)` generally and much faster on the shallow,
-//! sparse networks the closure reduction produces.
+//! MAP inference for the supermodular MLN model reduces to one
+//! maximum-weight closure problem per connected component of the
+//! evidence-reduced ground model (see [`crate::infer`]), each solved by a
+//! min-cut on its own small network. Dinic's algorithm (BFS level graph +
+//! blocking flows) runs in `O(V²E)` generally and much faster on the
+//! shallow, sparse networks the closure reduction produces.
 //!
 //! Capacities are `i64` (fixed-point milli-weights), with
 //! [`MaxFlow::INF`] for the closure's precedence edges.
@@ -53,9 +54,8 @@ impl MaxFlow {
         self.graph.is_empty()
     }
 
-    /// Add a directed edge `from → to` with capacity `cap ≥ 0`; returns
-    /// the forward edge's id (usable with [`MaxFlow::set_cap`]).
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: i64) -> u32 {
+    /// Add a directed edge `from → to` with capacity `cap ≥ 0`.
+    pub fn add_edge(&mut self, from: usize, to: usize, cap: i64) {
         debug_assert!(cap >= 0, "negative capacity");
         let e1 = self.edges.len() as u32;
         let e2 = e1 + 1;
@@ -71,26 +71,6 @@ impl MaxFlow {
         });
         self.graph[from].push(e1);
         self.graph[to].push(e2);
-        e1
-    }
-
-    /// Overwrite one edge's remaining capacity (used to arm/disarm
-    /// pre-allocated probe edges without changing the graph shape).
-    pub fn set_cap(&mut self, edge: u32, cap: i64) {
-        self.edges[edge as usize].cap = cap;
-    }
-
-    /// Snapshot every edge's remaining capacity.
-    pub fn snapshot_caps(&self) -> Vec<i64> {
-        self.edges.iter().map(|e| e.cap).collect()
-    }
-
-    /// Restore a capacity snapshot (rolls back any flow pushed since).
-    pub fn restore_caps(&mut self, caps: &[i64]) {
-        debug_assert_eq!(caps.len(), self.edges.len());
-        for (e, &c) in self.edges.iter_mut().zip(caps) {
-            e.cap = c;
-        }
     }
 
     fn bfs(&mut self, source: usize, sink: usize) -> bool {
@@ -145,24 +125,6 @@ impl MaxFlow {
             }
         }
         flow
-    }
-
-    /// After `max_flow`, the *minimal* source side of a minimum cut:
-    /// nodes reachable from `source` in the residual graph.
-    pub fn min_cut_source_side(&self, source: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.graph.len()];
-        let mut stack = vec![source];
-        seen[source] = true;
-        while let Some(u) = stack.pop() {
-            for &ei in &self.graph[u] {
-                let e = &self.edges[ei as usize];
-                if e.cap > 0 && !seen[e.to as usize] {
-                    seen[e.to as usize] = true;
-                    stack.push(e.to as usize);
-                }
-            }
-        }
-        seen
     }
 
     /// After `max_flow`, the *maximal* source side of a minimum cut: the
@@ -251,22 +213,18 @@ mod tests {
     }
 
     #[test]
-    fn min_and_max_cut_sides_bracket_ties() {
-        // s → a (1), a → t (1), plus isolated node b connected to t with 0
-        // demand: b can go on either side; the minimal side excludes it,
-        // the maximal side includes it.
+    fn max_source_side_keeps_zero_capacity_ties() {
+        // s → a (1), a → t (1), plus node b connected to t with 0
+        // demand: b can go on either side of a minimum cut, and the
+        // maximal source side includes it.
         let mut net = MaxFlow::new(4);
         let (s, a, b, t) = (0, 1, 2, 3);
         net.add_edge(s, a, 1);
         net.add_edge(a, t, 1);
         net.add_edge(b, t, 0); // zero-capacity edge: no residual to t
         let _ = net.max_flow(s, t);
-        let min_side = net.min_cut_source_side(s);
         let max_side = net.max_source_side(t);
-        assert!(!min_side[b]);
         assert!(max_side[b]);
-        // Both are valid cuts: s on source side, t on sink side.
-        assert!(min_side[s] && !min_side[t]);
         assert!(max_side[s] && !max_side[t]);
     }
 

@@ -8,10 +8,13 @@ use em_core::entity::EntityId;
 use em_core::evidence::Evidence;
 use em_core::framework::{mmp_with_order, no_mp_baseline, smp_with_order, MmpConfig};
 use em_core::matcher::Matcher;
-use em_core::pair::Pair;
+use em_core::pair::{Pair, PairSet};
 use em_core::properties::{check_well_behaved, CheckConfig};
 use em_core::Score;
-use em_mln::{ground, solve_map, solve_map_brute_force, MlnMatcher, MlnModel, RelationalRule};
+use em_mln::{
+    ground, solve_map, solve_map_brute_force, GroundEdge, GroundModel, MapSolver, MlnMatcher,
+    MlnModel, RelationalRule,
+};
 use proptest::prelude::*;
 
 // Engine-hook shims (the plain free functions are deprecated in favour
@@ -290,12 +293,17 @@ proptest! {
         let (ds, model) = build(&instance);
         let gm = ground(&model, &ds.full_view());
         prop_assume!(gm.var_count() >= 2);
-        let evidence = Evidence::positive([gm.vars[0]].into_iter().collect());
-        let mut solver = em_mln::MapSolver::new(&gm, &evidence);
-        for &probe in gm.vars.iter().take(8) {
-            let incremental = solver.probe(probe);
-            let fresh = solve_map(&gm, &evidence.with_extra_positive(probe));
-            prop_assert_eq!(&incremental, &fresh, "probe {} diverged", probe);
+        let pinned: PairSet = [gm.vars[0]].into_iter().collect();
+        for evidence in [
+            Evidence::positive(pinned.clone()),
+            Evidence::new(PairSet::new(), pinned),
+        ] {
+            let solver = MapSolver::new(&gm, &evidence);
+            for &probe in &gm.vars {
+                let incremental = solver.probe(probe);
+                let fresh = solve_map(&gm, &evidence.with_extra_positive(probe));
+                prop_assert_eq!(&incremental, &fresh, "probe {} diverged", probe);
+            }
         }
     }
 
@@ -324,4 +332,137 @@ proptest! {
             prop_assert_eq!(got, want);
         }
     }
+}
+
+/// Ground model over `unary.len()` variables `(2i, 2i+1)` with the given
+/// unary weights and hyperedges (milli-units).
+fn hand_model(unary: &[i64], edges: &[(&[u32], i64)]) -> GroundModel {
+    let vars: Vec<Pair> = (0..unary.len() as u32)
+        .map(|i| Pair::new(EntityId(2 * i), EntityId(2 * i + 1)))
+        .collect();
+    let mut incident = vec![Vec::new(); vars.len()];
+    for (ei, (members, _)) in edges.iter().enumerate() {
+        for &v in *members {
+            incident[v as usize].push(ei as u32);
+        }
+    }
+    GroundModel {
+        index: vars
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i as u32))
+            .collect(),
+        vars,
+        unary: unary.iter().map(|&u| Score(u)).collect(),
+        edges: edges
+            .iter()
+            .map(|&(members, w)| GroundEdge {
+                vars: members.to_vec(),
+                weight: Score(w),
+            })
+            .collect(),
+        incident,
+    }
+}
+
+/// Check the base solve and every probe of `gm` under `evidence` against
+/// exhaustive enumeration with the probe as extra positive evidence.
+/// Negative-evidence variables are not probed: the brute force lets
+/// positive evidence win a conflict, the solver lets negative win.
+fn assert_probes_match_brute_force(gm: &GroundModel, evidence: &Evidence) {
+    let solver = MapSolver::new(gm, evidence);
+    let base = solver.base_solution();
+    assert_eq!(base, solve_map_brute_force(gm, evidence), "base solve");
+    for &p in gm.vars.iter().filter(|&&p| !evidence.negative.contains(p)) {
+        let brute = solve_map_brute_force(gm, &evidence.with_extra_positive(p));
+        assert_eq!(solver.probe(p), brute, "probe {p}");
+        let mut added: Vec<Pair> = brute.iter().filter(|&q| !base.contains(q)).collect();
+        added.sort_unstable();
+        assert_eq!(solver.probe_delta(p), added, "probe_delta {p}");
+    }
+}
+
+fn var(i: u32) -> Pair {
+    Pair::new(EntityId(2 * i), EntityId(2 * i + 1))
+}
+
+#[test]
+fn probes_exact_on_arity_three_hyperedge() {
+    // Three pairs that only pay off together, plus a fourth hanging off
+    // the last one: forcing any of the three pulls in the other two.
+    let gm = hand_model(
+        &[-1000, -1000, -1000, -300],
+        &[(&[0, 1, 2], 2500), (&[2, 3], 400)],
+    );
+    assert_probes_match_brute_force(&gm, &Evidence::none());
+    let solver = MapSolver::new(&gm, &Evidence::none());
+    assert!(solver.base_solution().is_empty());
+    assert_eq!(
+        solver.probe_delta(var(0)),
+        vec![var(0), var(1), var(2), var(3)]
+    );
+}
+
+#[test]
+fn probes_exact_with_zero_profit_ties_in_a_component() {
+    // Var 1 has zero profit in a component with var 0: the maximal
+    // optimum selects it at the base. Vars 2 and 3 tie only once one of
+    // them is forced: the probe must add the other.
+    let gm = hand_model(
+        &[-3000, 0, -1000, -1000],
+        &[(&[0, 1], 1000), (&[2, 3], 1000)],
+    );
+    assert_probes_match_brute_force(&gm, &Evidence::none());
+    let solver = MapSolver::new(&gm, &Evidence::none());
+    assert_eq!(solver.base_solution(), [var(1)].into_iter().collect());
+    assert_eq!(solver.probe_delta(var(0)), vec![var(0)]);
+    assert_eq!(solver.probe_delta(var(2)), vec![var(2), var(3)]);
+}
+
+#[test]
+fn probing_one_component_leaves_the_others_alone() {
+    // Three disjoint components: {0,1} is empty at the base and flips
+    // under a probe, {2,3} is selected at the base, {4,5} has the same
+    // shape as {0,1} and must stay empty when {0,1} is probed.
+    let gm = hand_model(
+        &[-1000, -1000, 500, -200, -1000, -1000],
+        &[(&[0, 1], 1500), (&[2, 3], 300), (&[4, 5], 1500)],
+    );
+    assert_probes_match_brute_force(&gm, &Evidence::none());
+    let solver = MapSolver::new(&gm, &Evidence::none());
+    let base = solver.base_solution();
+    assert_eq!(base, [var(2), var(3)].into_iter().collect());
+    assert_eq!(solver.probe_delta(var(0)), vec![var(0), var(1)]);
+    let probed = solver.probe(var(0));
+    assert!(base.is_subset(&probed));
+    assert!(!probed.contains(var(4)) && !probed.contains(var(5)));
+}
+
+#[test]
+fn negative_evidence_splits_a_component() {
+    // A chain 0-1-2-3-4 that pays off only as a whole once one end is
+    // forced. Negative evidence on the bridge 2 deletes both of its
+    // edges, leaving two reduced components: a probe of 0 then reaches
+    // only 1.
+    let gm = hand_model(
+        &[-1400; 5],
+        &[
+            (&[0, 1], 1500),
+            (&[1, 2], 1500),
+            (&[2, 3], 1500),
+            (&[3, 4], 1500),
+        ],
+    );
+    assert_probes_match_brute_force(&gm, &Evidence::none());
+    let solver = MapSolver::new(&gm, &Evidence::none());
+    assert_eq!(
+        solver.probe_delta(var(0)),
+        vec![var(0), var(1), var(2), var(3), var(4)]
+    );
+    let bridge_out = Evidence::new(PairSet::new(), [var(2)].into_iter().collect());
+    assert_probes_match_brute_force(&gm, &bridge_out);
+    let solver = MapSolver::new(&gm, &bridge_out);
+    assert_eq!(solver.probe_delta(var(0)), vec![var(0), var(1)]);
+    assert_eq!(solver.probe_delta(var(4)), vec![var(3), var(4)]);
+    assert!(solver.probe_delta(var(2)).is_empty());
 }
