@@ -12,7 +12,10 @@
 //! The message-passing schemes accumulate matches into one growing
 //! `Evidence` value and only ever need to ask *"what changed since I last
 //! looked?"* — re-deriving that from full snapshots is what made the
-//! pre-epoch framework O(|V+|) per neighborhood visit. Every positive pair
+//! pre-epoch framework O(|V+|) per neighborhood *revisit*. (A first visit
+//! needs the whole restriction of `V+` to its view; the framework reads
+//! it from an entity-keyed index that catches up from this same log, so
+//! that too costs the view's evidence degree, not |V+|.) Every positive pair
 //! inserted through the tracked mutators ([`Evidence::insert_positive`],
 //! [`Evidence::union_positive`], the constructors) is appended to an
 //! insertion log stamped with the current [`Epoch`];

@@ -35,6 +35,7 @@ use crate::pair::{Pair, PairSet};
 use std::time::{Duration, Instant};
 
 use super::certificates::{CertificateBank, CertificatePool, CertificateSet};
+use super::evidence_index::EvidenceIndex;
 use super::mmp::{
     compute_maximal, compute_maximal_certified, mark_dirty_around, promote_dirty, MemoBank,
     MemoPool, MessageStore, MmpConfig, ProbeMemo, WarmSeed,
@@ -65,8 +66,12 @@ struct DriverCore<'a> {
     /// Replica of the accumulating global `M+` (plus the negative set),
     /// epoch-tracked so the scope's outgoing deltas are borrowed slices.
     found: Evidence,
-    /// Per-neighborhood cached local evidence (first visit restricts the
-    /// full sets; revisits apply only the scheduler's dirty pairs).
+    /// `found` filed by entity, caught up from its insertion log before
+    /// each first visit.
+    by_entity: EvidenceIndex,
+    /// Per-neighborhood cached local evidence: a first visit reads the
+    /// view members' entries of `by_entity` (O(their evidence degree),
+    /// not O(|M+|)); revisits apply only the scheduler's dirty pairs.
     local: Vec<Option<Evidence>>,
     stats: RunStats,
     trace: Option<EvalTrace>,
@@ -99,12 +104,14 @@ impl<'a> DriverCore<'a> {
             (None, Some(members)) => Worklist::seeded(cover.len(), members.iter().copied()),
             (None, None) => Worklist::full(cover.len()),
         };
+        let found = Evidence::from_parts(evidence.positive.clone(), evidence.negative.clone());
         Self {
             dataset,
             cover,
             index,
             worklist,
-            found: Evidence::from_parts(evidence.positive.clone(), evidence.negative.clone()),
+            by_entity: EvidenceIndex::new(&found),
+            found,
             local: vec![None; cover.len()],
             stats: RunStats::default(),
             trace: None,
@@ -112,11 +119,13 @@ impl<'a> DriverCore<'a> {
     }
 
     /// Cached local evidence of `id`, updated with this visit's dirty
-    /// pairs (first visits restrict the replica to the view). The
-    /// returned borrow is tied to `local` only, so the caller's other
-    /// driver fields stay mutable while it is live.
+    /// pairs. A first visit syncs `by_entity` with the replica's log and
+    /// reads the view members' entries. The returned borrow is tied to
+    /// `local` only, so the caller's other driver fields stay mutable
+    /// while it is live.
     fn local_evidence<'b>(
         local: &'b mut [Option<Evidence>],
+        by_entity: &mut EvidenceIndex,
         found: &Evidence,
         view: &crate::dataset::View<'_>,
         id: NeighborhoodId,
@@ -129,10 +138,10 @@ impl<'a> DriverCore<'a> {
                 }
                 ev
             }
-            slot @ None => slot.insert(Evidence::untracked(
-                view.restrict(&found.positive),
-                view.restrict(&found.negative),
-            )),
+            slot @ None => {
+                by_entity.sync(found);
+                slot.insert(by_entity.restrict(view))
+            }
         }
     }
 
@@ -282,8 +291,14 @@ impl<'a> SmpDriver<'a> {
         while let Some((id, dirty)) = core.worklist.pop() {
             let started = core.trace.is_some().then(Instant::now);
             let view = core.cover.view(core.dataset, id);
-            let local_evidence =
-                DriverCore::local_evidence(&mut core.local, &core.found, &view, id, &dirty);
+            let local_evidence = DriverCore::local_evidence(
+                &mut core.local,
+                &mut core.by_entity,
+                &core.found,
+                &view,
+                id,
+                &dirty,
+            );
             let undecided = view
                 .candidate_pairs()
                 .iter()
@@ -612,6 +627,7 @@ impl<'a> MmpDriver<'a> {
             let view = self.core.cover.view(self.core.dataset, id);
             let local_evidence = DriverCore::local_evidence(
                 &mut self.core.local,
+                &mut self.core.by_entity,
                 &self.core.found,
                 &view,
                 id,

@@ -27,6 +27,7 @@
 pub mod certificates;
 mod dependency;
 mod engine;
+mod evidence_index;
 pub mod invariants;
 mod mmp;
 mod nomp;

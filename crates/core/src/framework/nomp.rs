@@ -6,7 +6,8 @@
 //! restriction of the full run) but misses every cross-neighborhood
 //! inference.
 
-use super::RunStats;
+use super::evidence_index::EvidenceIndex;
+use super::{EvalTrace, RunStats};
 use crate::cover::{Cover, NeighborhoodId};
 use crate::dataset::Dataset;
 use crate::evidence::Evidence;
@@ -43,10 +44,8 @@ pub fn no_mp_baseline(
 ) -> MatchOutput {
     let start = Instant::now();
     let mut out = MatchOutput::default();
-    for id in cover.ids() {
-        let matches = no_mp_evaluate(matcher, dataset, cover, id, evidence, &mut out.stats);
-        out.matches.union_with(&matches);
-    }
+    let ids: Vec<NeighborhoodId> = cover.ids().collect();
+    (out.matches, _) = no_mp_evaluate(matcher, dataset, cover, &ids, evidence, &mut out.stats);
     // The matcher echoes positive evidence back per-view; keep the output
     // limited to real decisions plus the evidence the caller supplied.
     out.matches.union_with(&evidence.positive);
@@ -58,31 +57,39 @@ pub fn no_mp_baseline(
     out
 }
 
-/// One NO-MP evaluation: `matcher` on neighborhood `id` against the
-/// caller's `evidence` restricted to its view, counted into `stats`.
+/// NO-MP evaluations: `matcher` once on each neighborhood of `ids`
+/// against the caller's `evidence` restricted to its view, counted into
+/// `stats`. Returns the union of the outputs and each evaluation's cost.
 /// [`no_mp_baseline`] runs it over the whole cover; a shard runs it over
 /// its members.
+///
+/// The evidence is filed by entity once per call, so each view's local
+/// evidence costs its members' evidence degree, not |evidence|.
 pub fn no_mp_evaluate(
     matcher: &dyn Matcher,
     dataset: &Dataset,
     cover: &Cover,
-    id: NeighborhoodId,
+    ids: &[NeighborhoodId],
     evidence: &Evidence,
     stats: &mut RunStats,
-) -> PairSet {
-    let view = cover.view(dataset, id);
-    let local_evidence = Evidence::untracked(
-        view.restrict(&evidence.positive),
-        view.restrict(&evidence.negative),
-    );
-    let undecided = view
-        .candidate_pairs()
-        .iter()
-        .filter(|(p, _)| !local_evidence.positive.contains(*p))
-        .count() as u64;
-    let matches = matcher.match_view(&view, &local_evidence);
-    stats.matcher_calls += 1;
-    stats.neighborhoods_processed += 1;
-    stats.active_pairs_evaluated += undecided;
-    matches
+) -> (PairSet, EvalTrace) {
+    let by_entity = EvidenceIndex::new(evidence);
+    let mut matches = PairSet::new();
+    let mut trace = EvalTrace::with_capacity(ids.len());
+    for &id in ids {
+        let t0 = Instant::now();
+        let view = cover.view(dataset, id);
+        let local_evidence = by_entity.restrict(&view);
+        let undecided = view
+            .candidate_pairs()
+            .iter()
+            .filter(|(p, _)| !local_evidence.positive.contains(*p))
+            .count() as u64;
+        matches.union_with(&matcher.match_view(&view, &local_evidence));
+        stats.matcher_calls += 1;
+        stats.neighborhoods_processed += 1;
+        stats.active_pairs_evaluated += undecided;
+        trace.push((id, t0.elapsed()));
+    }
+    (matches, trace)
 }

@@ -11,8 +11,9 @@
 //! inserts its new matches, and routes exactly the epoch delta through
 //! the [`super::DependencyIndex`]-backed scheduler. Per-neighborhood
 //! local evidence is cached and updated from the routed dirty pairs, so
-//! a revisit costs O(|delta|) bookkeeping instead of re-restricting the
-//! full `M+`.
+//! a revisit costs O(|delta|) bookkeeping; a first visit reads the view
+//! members' entries of an entity-keyed index of `M+`, O(their evidence
+//! degree) rather than O(|M+|).
 //!
 //! For a well-behaved matcher SMP is sound, consistent, and runs in
 //! `O(k² f(k) n)` (Theorems 2 and 3): a neighborhood of size `k` can be

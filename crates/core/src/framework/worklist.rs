@@ -9,8 +9,8 @@
 //! pair in each one's **dirty set**. [`Worklist::pop`] hands the
 //! evaluation the neighborhood together with everything that became
 //! evidence for it since its last evaluation, so the caller can update a
-//! cached local-evidence set (instead of re-restricting the full `M+`)
-//! and re-probe only what the delta can affect.
+//! cached local-evidence set (instead of restricting `M+` again) and
+//! re-probe only what the delta can affect.
 //!
 //! The index is a parameter of [`Worklist::route`] rather than a stored
 //! borrow so a per-shard driver can own its (shard-local) index and its

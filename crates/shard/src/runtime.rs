@@ -220,23 +220,17 @@ struct NoMpWorker<'a> {
 
 impl EpochWorker for NoMpWorker<'_> {
     fn epoch(&mut self, _delta: &[Pair]) -> (Vec<Pair>, Vec<Vec<Pair>>, EvalTrace) {
-        let mut matches = PairSet::new();
-        let mut trace = EvalTrace::new();
-        if !std::mem::replace(&mut self.evaluated, true) {
-            for &id in self.members {
-                let t0 = Instant::now();
-                let found = no_mp_evaluate(
-                    self.matcher,
-                    self.dataset,
-                    self.cover,
-                    id,
-                    self.evidence,
-                    &mut self.stats,
-                );
-                matches.union_with(&found);
-                trace.push((id, t0.elapsed()));
-            }
+        if std::mem::replace(&mut self.evaluated, true) {
+            return (Vec::new(), Vec::new(), EvalTrace::new());
         }
+        let (matches, trace) = no_mp_evaluate(
+            self.matcher,
+            self.dataset,
+            self.cover,
+            self.members,
+            self.evidence,
+            &mut self.stats,
+        );
         (matches.iter().collect(), Vec::new(), trace)
     }
     fn finish(self) -> (RunStats, MemoBank, CertificateBank) {

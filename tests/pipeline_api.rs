@@ -366,26 +366,53 @@ fn extend_on_a_provided_cover_panics() {
 #[test]
 fn provided_evidence_reaches_every_backend() {
     let (dataset, cover, matcher, _) = paper_example();
+    let e = EntityId;
     // Block the pair the paper example always matches.
-    let blocked = Pair::new(EntityId(5), EntityId(6));
+    let blocked = Pair::new(e(5), e(6));
     let negative: em::PairSet = [blocked].into_iter().collect();
-    for (scheme, backend) in [
-        (Scheme::NoMp, Backend::Sequential),
-        (Scheme::Smp, Backend::Sequential),
-        (Scheme::NoMp, sharded(2)),
-        (Scheme::Smp, sharded(2)),
-    ] {
-        let out = Pipeline::new(dataset.clone())
+    // Positive evidence: a candidate pair (b1, b3), a non-candidate pair
+    // inside the first view (a2, b2), and a non-candidate pair no view
+    // contains (a1, d1).
+    let positive: em::PairSet = [
+        Pair::new(e(2), e(4)),
+        Pair::new(e(1), e(3)),
+        Pair::new(e(0), e(8)),
+    ]
+    .into_iter()
+    .collect();
+    let run = |scheme, backend| {
+        Pipeline::new(dataset.clone())
             .cover(cover.clone())
             .matcher(MatcherChoice::custom_probabilistic(matcher.clone()))
             .scheme(scheme)
             .backend(backend)
-            .evidence(Evidence::new(em::PairSet::new(), negative.clone()))
+            .evidence(Evidence::new(positive.clone(), negative.clone()))
             .build()
             .expect("coherent")
-            .run();
-        assert!(!out.matches.contains(blocked), "{scheme:?} {backend:?}");
+            .run()
+            .matches
+    };
+    let mut outputs = Vec::new();
+    for scheme in [Scheme::NoMp, Scheme::Smp, Scheme::Mmp] {
+        let sequential = run(scheme, Backend::Sequential);
+        assert!(!sequential.contains(blocked), "{scheme:?}");
+        assert!(positive.is_subset(&sequential), "{scheme:?}");
+        assert_eq!(sequential, run(scheme, sharded(2)), "{scheme:?} sharded(2)");
+        outputs.push(sequential);
     }
+    // (b1, b3) makes (c1, c3) worth matching inside the second view;
+    // only MMP's maximal messages recover (a1, a2)-(b2, b3) and (c2, c3).
+    let mut smp = positive.clone();
+    smp.insert(Pair::new(e(5), e(7)));
+    assert_eq!(outputs[0], smp, "NO-MP");
+    assert_eq!(outputs[1], smp, "SMP");
+    let mut mmp = smp;
+    mmp.extend([
+        Pair::new(e(0), e(1)),
+        Pair::new(e(3), e(4)),
+        Pair::new(e(6), e(7)),
+    ]);
+    assert_eq!(outputs[2], mmp, "MMP");
 }
 
 // ---------------------------------------------------------------------
