@@ -1,6 +1,7 @@
 //! Figures 3(d), 3(e): running-time comparison of NO-MP, SMP, MMP with
-//! the MLN matcher, plus the evidence-delta, shard, and warm-start
-//! ablations — all driven through the `em::Pipeline` front door.
+//! the MLN matcher, plus the evidence-delta, shard, warm-start, churn
+//! and store ablations — all driven through the `em::Pipeline` front
+//! door.
 //!
 //! The paper's counter-intuitive result: better message passing is
 //! *faster*, because evidence shrinks the active size of revisited
@@ -9,22 +10,24 @@
 //! Alchemy-style local search (`--backend walksat`) is strongly
 //! superlinear; the exact min-cut backend (`--backend exact`, default) is
 //! nearly linear per call, so the probe overhead of MMP can dominate —
-//! both are reported, with the deviation discussed in EXPERIMENTS.md.
+//! both are reported.
 //!
 //! Usage:
 //!   fig3_runtime [--dataset hepth|dblp|both] [--scale 0.02]
 //!                [--backend exact|walksat|both] [--seed N]
 //!                [--cache on|off|both] [--incremental on|off|both]
 //!                [--shards K] [--warm-start on|off] [--churn on|off]
-//!                [--store DIR|none] [--serve on|off|socket]
-//!                [--bench-out PATH|none] [--metrics PATH]
+//!                [--store DIR|none] [--metrics PATH|none]
 //!
 //! `--matcher` is accepted as an alias for `--backend`.
 //!
-//! `--metrics PATH` additionally streams an `em-metrics-v1` JSONL trace
-//! (see [`em_bench::metrics`]): one `run` line per scheme run, one
-//! `shard` line per sharded ablation, and one `update` + `run` line per
-//! churn step — the same structured counters the soak harness emits.
+//! `--metrics PATH` streams an `em-metrics-v1` JSONL trace (see
+//! [`em_bench::metrics`]): one `run` line per scheme run, one `shard`
+//! line per sharded ablation, one `update` + `run` line per churn step,
+//! one `store` line per recovery probe, and one `verdict` line per
+//! ablation arm carrying that arm's identity verdict — the lines CI
+//! gates on. The binary exits non-zero if an identity that is
+//! guaranteed fails, or if the metrics stream cannot be written.
 //!
 //! `--cache` toggles the zero-recompute matcher memo
 //! ([`em_core::CachedMatcher`]); see the README's feature-cache section.
@@ -35,15 +38,16 @@
 //! from the per-neighborhood memo; `off` reproduces the
 //! probe-everything revisit. `both` runs the ablation, verifies the two
 //! arms produce **byte-identical** match sets for every scheme (the
-//! binary exits non-zero on divergence with the exact backend — CI runs
-//! exactly this), and reports the conditioned-probe reduction. Results
-//! are appended to `BENCH_framework.json` (`--bench-out none` skips).
+//! binary exits non-zero on divergence with the exact backend), and
+//! reports the conditioned-probe reduction; its verdict line carries
+//! `outputs_identical`.
 //!
 //! `--shards K` (K ≥ 1) additionally runs the `em_shard` sharded
-//! runtime with `K` shards against the single-machine MMP baseline
-//! (exact backend only), verifies byte-identical matches — exiting
-//! non-zero on divergence, CI runs exactly this — and prints and
-//! persists a Table 1-style per-shard load/skew/makespan report.
+//! runtime with `K` shards against the single-machine MMP and SMP
+//! baselines (exact backend only), verifies byte-identical matches —
+//! exiting non-zero on divergence — and prints a Table 1-style
+//! per-shard load/skew/makespan report. Verdict key:
+//! `shard_outputs_identical`.
 //!
 //! `--churn on` runs the bidirectional-update ablation: sessions fed a
 //! `DatasetDelta::churn_script` — three arms: append-only,
@@ -51,24 +55,23 @@
 //! production-shaped regime), and retract-heavy (20% per step) — with
 //! `MatchSession::update`, each step compared against a **cold run over
 //! a mirror dataset** built by applying the same deltas, sequential and
-//! sharded. Byte-identity is enforced (non-zero exit on divergence; CI
-//! greps `churn_outputs_identical`), and the component-scoped rollback
-//! ledger (components invalidated, messages/memos dropped, pairs
-//! re-blocked, canopies replayed) is printed and persisted as
-//! `churn_runs` entries.
+//! sharded. Byte-identity is enforced (non-zero exit on divergence;
+//! verdict key `churn_outputs_identical`), and the component-scoped
+//! rollback ledger (components invalidated, messages/memos dropped,
+//! pairs re-blocked, canopies replayed) is printed per arm and streamed
+//! per step as `update` lines.
 //!
 //! With `--backend walksat` (or `both`), `--churn on` additionally runs
 //! the **certificate-gate ablation** for the approximate matcher: the
 //! certificate-gated incremental session at the default slack against
 //! the probe-everything control (the same session at infinite slack)
 //! and a cold rebuild per step. Byte-identity vs the control is
-//! asserted for **append-only** scripts (non-zero exit on divergence;
-//! CI greps `walksat_outputs_identical`); under retraction the gate is
-//! honestly heuristic, so the verdict is *recorded* per arm instead of
-//! asserted — as is `divergence_vs_cold` (warm walksat legitimately
-//! diverges from a cold run). Results land in `walksat_churn_runs`,
-//! including `walksat_probes_elided` — the probes the gate skipped
-//! outright.
+//! asserted for **append-only** scripts (non-zero exit on divergence);
+//! under retraction the gate is honestly heuristic, so the verdict is
+//! *recorded* per arm instead of asserted — as is `divergence_vs_cold`
+//! (warm walksat legitimately diverges from a cold run). Verdict keys:
+//! `walksat_outputs_identical` and `walksat_probes_elided`, the probes
+//! the gate skipped outright.
 //!
 //! `--store DIR` runs the durable-session recovery ablation: a session
 //! built with `Pipeline::store` under `DIR` is driven through
@@ -78,59 +81,28 @@
 //! truncated the log — for **both** matchers (exact and walksat) on
 //! **both** backends (sequential and sharded). Each recovered session's
 //! `state_digest` must equal the live session's, section for section;
-//! the binary exits non-zero on divergence, and the four verdicts land
-//! in `store_runs` (CI greps 4× `"recovery_identical": true`).
-//!
-//! `--serve on` runs the serving-daemon ablation: three sessions with
-//! deliberately different traffic shapes (append-only growth, plain
-//! retraction churn, pathological churn) are hosted by one
-//! [`em_serve::Daemon`] — shared change stream, epoch fences,
-//! micro-batch coalescing, freshness-aware scheduling — sequential and
-//! sharded, and each hosted session is verified **byte-identical**
-//! (state digest + match set) against a standalone session replaying
-//! the daemon's op log. The binary exits non-zero on divergence or any
-//! dead-lettered frame; per-session scheduler counters (batches,
-//! coalesced frames, sheds, staleness percentiles) land in
-//! `serve_runs` (CI greps `"serve_identical": true`).
-//!
-//! `--serve socket` runs the channel ablation above **plus** the
-//! socket-transport arm: the same three sessions served over a real
-//! Unix-domain socket through [`em_net`] — an external blocking
-//! [`em_net::Client`] streams the deltas, issues `Drain` barriers, and
-//! reads back digests and match sets over the wire — with an LRU
-//! residency cap of 2 (durable evict/revive), a mid-stream admin
-//! eviction, and a kill/recover fault injection every other burst. Each
-//! session is verified byte-identical against a standalone replay of
-//! the daemon's op log, and every crash recovery must land on the
-//! pre-kill wire digest. Verdicts land in `net_serve_runs` (CI greps
-//! `"net_serve_identical": true` and `"crash_recovery_identical":
-//! true`).
+//! the binary exits non-zero on divergence, and each arm's `store` line
+//! carries `recovery_identical`.
 //!
 //! `--warm-start on` runs the session-growth ablation: a `MatchSession`
 //! over half the dataset, grown to full size with
-//! `MatchSession::extend` and warm-started, against a cold session over
+//! `MatchSession::update` and warm-started, against a cold session over
 //! the full dataset — sequential and sharded (K from `--shards`,
 //! default 4). The warm run must be byte-identical with fewer
-//! conditioned probes; both facts are persisted as `warm_start` entries
-//! (CI greps `"warm_start_identical": true`) and the binary exits
-//! non-zero on divergence.
+//! conditioned probes (non-zero exit otherwise); verdict key
+//! `warm_start_identical`.
+//!
+//! The serving daemon's identity gates (in-process, sharded, and over a
+//! socket with kill/recover) are `serve_load`'s.
 
-use em::{
-    Backend, ChurnOptions, DatasetDelta, MatchOutcome, MatcherChoice, Pipeline, Scheme, SplitPolicy,
-};
-use em_bench::{
-    prepare_opts, profile_by_name, ArmRecord, ChurnRecord, Flags, FrameworkReport, MetricsRecord,
-    MetricsWriter, NetServeRunRecord, SchemeRecord, ShardRunRecord, WalksatChurnRecord,
-    WarmStartRecord, Workload,
-};
+use em::{Backend, DatasetDelta, MatchOutcome, MatcherChoice, Pipeline, Scheme, SplitPolicy};
+use em_bench::{prepare_opts, profile_by_name, Flags, MetricsRecord, MetricsWriter, Workload};
 use em_blocking::{BlockingConfig, SimilarityKernel};
 use em_core::framework::DEFAULT_CERTIFICATE_SLACK;
 use em_core::{CachedMatcher, Dataset};
 use em_datagen::generate;
 use em_eval::{fmt_duration, fmt_ratio, Table};
 use em_mln::MlnMatcher;
-use em_net::{run_socket_load, SocketLoadConfig, Transport};
-use em_serve::{run_load, LoadConfig, ServeConfig, SessionTraffic};
 use std::sync::Arc;
 
 /// A session over an already-blocked workload (so per-scheme sessions
@@ -195,20 +167,6 @@ fn run_arm(
 
 const SCHEMES: [&str; 3] = ["NO-MP", "SMP", "MMP"];
 
-/// The `--metrics` sink: an `em-metrics-v1` JSONL stream on disk.
-type FileMetrics = MetricsWriter<std::io::BufWriter<std::fs::File>>;
-
-/// Emit one metrics line if a sink is configured; on a write error,
-/// report it once and stop streaming (the bench itself keeps going).
-fn emit_metric(metrics: &mut Option<FileMetrics>, record: &MetricsRecord) {
-    if let Some(writer) = metrics {
-        if let Err(e) = writer.emit(record) {
-            eprintln!("metrics stream failed, disabling: {e}");
-            *metrics = None;
-        }
-    }
-}
-
 fn print_arm(
     w: &Workload,
     label: &str,
@@ -249,20 +207,17 @@ fn print_arm(
     print!("{}", table.render());
 }
 
-/// Run the incremental ablation for one backend and record it.
-#[allow(clippy::too_many_arguments)]
+/// Run the incremental ablation for one backend; with both arms, emit
+/// its `outputs_identical` verdict line.
 fn run_backend(
     w: &Workload,
     inner: &MlnMatcher,
     label: &str,
     cache: bool,
     incremental_arms: &[bool],
-    scale: f64,
-    seed: Option<u64>,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
+    metrics: &mut MetricsWriter,
 ) -> bool {
-    let mut arms: Vec<ArmRecord> = Vec::new();
+    let on_off = |flag: bool| if flag { "on" } else { "off" };
     let mut outputs: Vec<Vec<(MatchOutcome, u64)>> = Vec::new();
     for &incremental in incremental_arms {
         let (rows, memo_stats) = run_arm(w, inner, cache, incremental);
@@ -271,13 +226,14 @@ fn run_backend(
             let arm_label = format!(
                 "{}/{label}/{scheme}/cache-{}/incremental-{}",
                 w.name,
-                if cache { "on" } else { "off" },
-                if incremental { "on" } else { "off" },
+                on_off(cache),
+                on_off(incremental),
             );
-            emit_metric(
-                metrics,
-                &MetricsRecord::from_run_stats(&arm_label, 0, &outcome.stats),
-            );
+            metrics.emit(&MetricsRecord::from_run_stats(
+                &arm_label,
+                0,
+                &outcome.stats,
+            ));
         }
         if cache {
             println!(
@@ -287,97 +243,56 @@ fn run_backend(
                 100.0 * memo_stats.hit_rate()
             );
         }
-        arms.push(ArmRecord {
-            incremental,
-            schemes: SCHEMES
-                .iter()
-                .zip(&rows)
-                .map(|(scheme, (outcome, hits))| {
-                    SchemeRecord::from_stats(
-                        scheme,
-                        &outcome.stats,
-                        outcome.matches.len() as u64,
-                        *hits,
-                    )
-                })
-                .collect(),
-        });
         outputs.push(rows);
     }
 
-    let mut identical = None;
-    let mut reduction = None;
-    let mut ok = true;
-    if outputs.len() == 2 {
-        let mut same = true;
-        for (i, scheme) in SCHEMES.iter().enumerate() {
-            if outputs[0][i].0.matches != outputs[1][i].0.matches {
-                same = false;
-                println!(
-                    "!! {scheme}: match outputs DIVERGE between --incremental arms \
-                     ({} vs {} matches)",
-                    outputs[0][i].0.matches.len(),
-                    outputs[1][i].0.matches.len()
-                );
-            }
-        }
-        identical = Some(same);
-        let full_probes = outputs
-            .iter()
-            .zip(incremental_arms)
-            .find(|(_, inc)| !**inc)
-            .map(|(rows, _)| rows[2].0.stats.conditioned_probes);
-        let incr_probes = outputs
-            .iter()
-            .zip(incremental_arms)
-            .find(|(_, inc)| **inc)
-            .map(|(rows, _)| rows[2].0.stats.conditioned_probes);
-        if let (Some(full), Some(incr)) = (full_probes, incr_probes) {
-            let pct = if full > 0 {
-                100.0 * (full.saturating_sub(incr)) as f64 / full as f64
-            } else {
-                0.0
-            };
-            reduction = Some(pct);
+    // `--incremental both` runs the arms in the order [off, on].
+    let [full, incr] = outputs.as_slice() else {
+        return true;
+    };
+    let mut same = true;
+    for (i, scheme) in SCHEMES.iter().enumerate() {
+        if full[i].0.matches != incr[i].0.matches {
+            same = false;
             println!(
-                "incremental ablation: outputs {} | MMP conditioned probes {full} -> {incr} \
-                 ({pct:.1}% fewer)",
-                if same {
-                    "byte-identical ✓"
-                } else {
-                    "DIVERGED ✗"
-                },
+                "!! {scheme}: match outputs DIVERGE between --incremental arms \
+                 ({} vs {} matches)",
+                full[i].0.matches.len(),
+                incr[i].0.matches.len()
             );
         }
-        if !same {
-            if label == "exact" {
-                // Exact supermodular inference factorizes over ground
-                // components, so divergence means a bug — fail loudly
-                // (CI runs this ablation).
-                ok = false;
-            } else {
-                println!(
-                    "   (note: {label} is an approximate backend; probe replay is only \
-                     guaranteed byte-identical for exact inference — use --incremental off)"
-                );
-            }
-        }
     }
-
-    report.workloads.push(em_bench::WorkloadRecord {
-        dataset: w.name.clone(),
-        scale,
-        seed,
-        backend: label.to_owned(),
-        cache,
-        references: w.references as u64,
-        neighborhoods: w.cover.len() as u64,
-        candidate_pairs: w.candidate_pairs as u64,
-        arms,
-        outputs_identical: identical,
-        mmp_probe_reduction_pct: reduction,
-    });
-    ok
+    let full_probes = full[2].0.stats.conditioned_probes;
+    let incr_probes = incr[2].0.stats.conditioned_probes;
+    let pct = 100.0 * full_probes.saturating_sub(incr_probes) as f64 / full_probes.max(1) as f64;
+    println!(
+        "incremental ablation: outputs {} | MMP conditioned probes {full_probes} -> \
+         {incr_probes} ({pct:.1}% fewer)",
+        if same {
+            "byte-identical ✓"
+        } else {
+            "DIVERGED ✗"
+        },
+    );
+    metrics.emit(
+        &MetricsRecord::new("verdict")
+            .push_str(
+                "label",
+                &format!("{}/{label}/cache-{}", w.name, on_off(cache)),
+            )
+            .push_bool("outputs_identical", same)
+            .push_f64("mmp_probe_reduction_pct", pct),
+    );
+    if !same && label != "exact" {
+        println!(
+            "   (note: {label} is an approximate backend; probe replay is only \
+             guaranteed byte-identical for exact inference — use --incremental off)"
+        );
+    }
+    // Exact supermodular inference factorizes over ground components,
+    // so divergence there means a bug — fail loudly (CI runs this
+    // ablation).
+    same || label != "exact"
 }
 
 /// Extract the shard report from a sharded outcome.
@@ -395,10 +310,7 @@ fn run_shard_ablation(
     w: &Workload,
     shards: usize,
     incremental: bool,
-    scale: f64,
-    seed: Option<u64>,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
+    metrics: &mut MetricsWriter,
 ) -> bool {
     let backend = Backend::Sharded {
         shards,
@@ -439,14 +351,11 @@ fn run_shard_ablation(
     )
     .run();
     let shard_rep = shard_report(&sharded);
-    emit_metric(
-        metrics,
-        &MetricsRecord::from_shard_report(
-            &format!("{}/sharded-{shards}/MMP", w.name),
-            0,
-            shard_rep,
-        ),
-    );
+    metrics.emit(&MetricsRecord::from_shard_report(
+        &format!("{}/sharded-{shards}/MMP", w.name),
+        0,
+        shard_rep,
+    ));
 
     let mut table = Table::new([
         "shard",
@@ -505,15 +414,12 @@ fn run_shard_ablation(
         },
     );
 
-    report.shard_runs.push(ShardRunRecord::from_run(
-        &w.name,
-        scale,
-        seed,
-        shard_rep,
-        sharded.matches.len() as u64,
-        mmp_identical,
-        single.stats.wall_time.as_secs_f64() * 1e3,
-    ));
+    metrics.emit(
+        &MetricsRecord::new("verdict")
+            .push_str("label", &format!("{}/sharded-{shards}", w.name))
+            .push_bool("shard_outputs_identical", mmp_identical && smp_identical)
+            .push_u64("matches", sharded.matches.len() as u64),
+    );
     mmp_identical && smp_identical
 }
 
@@ -525,7 +431,7 @@ fn run_warm_ablation(
     scale: f64,
     seed: Option<u64>,
     shards: usize,
-    report: &mut FrameworkReport,
+    metrics: &mut MetricsWriter,
 ) -> bool {
     let mut profile = profile_by_name(name).scaled(scale);
     if let Some(seed) = seed {
@@ -598,22 +504,13 @@ fn run_warm_ablation(
             fmt_duration(warm.stats.wall_time),
         );
         ok &= identical && fewer;
-        report.warm_start.push(WarmStartRecord {
-            dataset: name.to_owned(),
-            scale,
-            seed,
-            backend: label,
-            base_entities: (n / 2) as u64,
-            grown_entities: n as u64,
-            cold_probes: cold.stats.conditioned_probes,
-            warm_probes: warm.stats.conditioned_probes,
-            warm_probes_replayed: warm.stats.probes_replayed,
-            probe_reduction_pct: pct,
-            cold_wall_ms: cold.stats.wall_time.as_secs_f64() * 1e3,
-            warm_wall_ms: warm.stats.wall_time.as_secs_f64() * 1e3,
-            matches: warm.matches.len() as u64,
-            warm_start_identical: identical,
-        });
+        metrics.emit(
+            &MetricsRecord::new("verdict")
+                .push_str("label", &format!("{name}/warm/{label}"))
+                .push_bool("warm_start_identical", identical)
+                .push_u64("cold_probes", cold.stats.conditioned_probes)
+                .push_u64("warm_probes", warm.stats.conditioned_probes),
+        );
     }
     ok
 }
@@ -627,8 +524,7 @@ fn run_churn_ablation(
     scale: f64,
     seed: Option<u64>,
     shards: usize,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
+    metrics: &mut MetricsWriter,
 ) -> bool {
     let mut profile = profile_by_name(name).scaled(scale);
     if let Some(seed) = seed {
@@ -685,23 +581,22 @@ fn run_churn_ablation(
                 retract_fraction,
                 script_seed,
             );
-            let initial_entities = initial.entities.len() as u64;
             let mut session = build(initial.clone(), backend);
             session.run();
             let mut mirror = initial;
             let mut identical = true;
-            let (mut cold_probes, mut warm_probes, mut replayed) = (0u64, 0u64, 0u64);
+            let (mut cold_probes, mut warm_probes) = (0u64, 0u64);
             let (mut components, mut messages, mut memos, mut reblocked) = (0u64, 0u64, 0u64, 0u64);
             let (mut replayed_canopies, mut recomputed_canopies) = (0u64, 0u64);
             let mut retracted = 0u64;
-            let mut matches = 0u64;
+            let churn_label = format!("{name}/{arm}/{backend_label}");
             for (step, delta) in deltas.iter().enumerate() {
-                let churn_label = format!("{name}/{arm}/{backend_label}");
                 let up = session.update(delta);
-                emit_metric(
-                    metrics,
-                    &MetricsRecord::from_update_report(&churn_label, step as u64 + 1, &up),
-                );
+                metrics.emit(&MetricsRecord::from_update_report(
+                    &churn_label,
+                    step as u64 + 1,
+                    &up,
+                ));
                 retracted += up.entities_retracted;
                 components += up.components_invalidated;
                 messages += up.messages_dropped;
@@ -711,16 +606,15 @@ fn run_churn_ablation(
                 recomputed_canopies += up.canopies_recomputed;
                 delta.apply(&mut mirror);
                 let warm = session.run();
-                emit_metric(
-                    metrics,
-                    &MetricsRecord::from_run_stats(&churn_label, step as u64 + 1, &warm.stats),
-                );
+                metrics.emit(&MetricsRecord::from_run_stats(
+                    &churn_label,
+                    step as u64 + 1,
+                    &warm.stats,
+                ));
                 let cold = build(mirror.clone(), backend).run();
                 identical &= warm.matches == cold.matches;
                 cold_probes += cold.stats.conditioned_probes;
                 warm_probes += warm.stats.conditioned_probes;
-                replayed += warm.stats.probes_replayed;
-                matches = warm.matches.len() as u64;
             }
             let pct =
                 100.0 * cold_probes.saturating_sub(warm_probes) as f64 / cold_probes.max(1) as f64;
@@ -736,29 +630,13 @@ fn run_churn_ablation(
                 },
             );
             ok &= identical;
-            report.churn_runs.push(ChurnRecord {
-                dataset: name.to_owned(),
-                scale,
-                seed,
-                arm: arm.to_owned(),
-                backend: backend_label,
-                steps: steps as u64,
-                initial_entities,
-                final_live_entities: mirror.entities.live_count() as u64,
-                entities_retracted: retracted,
-                cold_probes,
-                warm_probes,
-                warm_probes_replayed: replayed,
-                probe_reduction_pct: pct,
-                components_invalidated: components,
-                messages_dropped: messages,
-                memos_dropped: memos,
-                pairs_reblocked: reblocked,
-                canopies_replayed: replayed_canopies,
-                canopies_recomputed: recomputed_canopies,
-                matches,
-                churn_outputs_identical: identical,
-            });
+            metrics.emit(
+                &MetricsRecord::new("verdict")
+                    .push_str("label", &churn_label)
+                    .push_bool("churn_outputs_identical", identical)
+                    .push_u64("cold_probes", cold_probes)
+                    .push_u64("warm_probes", warm_probes),
+            );
         }
     }
     ok
@@ -777,15 +655,14 @@ fn run_churn_ablation(
 /// heuristic and the verdict is recorded per arm, not asserted. Warm
 /// walksat legitimately diverges from a cold rebuild (path- and
 /// evidence-dependent local search), so that difference is *measured*
-/// and persisted as `divergence_vs_cold`, never asserted. Returns
+/// and emitted as `divergence_vs_cold`, never asserted. Returns
 /// `false` when a certified append-only arm diverges from the control.
 fn run_walksat_churn_ablation(
     name: &str,
     scale: f64,
     seed: Option<u64>,
     shards: usize,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
+    metrics: &mut MetricsWriter,
 ) -> bool {
     let mut profile = profile_by_name(name).scaled(scale);
     if let Some(seed) = seed {
@@ -842,21 +719,22 @@ fn run_walksat_churn_ablation(
             let (mut certified_probes, mut control_probes, mut cold_probes) = (0u64, 0u64, 0u64);
             let (mut checked, mut breached, mut elided) = (0u64, 0u64, 0u64);
             let mut divergence = 0u64;
-            let mut matches = 0u64;
+            let label = format!("{name}/walksat/{arm}/{backend_label}");
             for (step, delta) in deltas.iter().enumerate() {
-                let label = format!("{name}/walksat/{arm}/{backend_label}");
                 let up = certified.update(delta);
-                emit_metric(
-                    metrics,
-                    &MetricsRecord::from_update_report(&label, step as u64 + 1, &up),
-                );
+                metrics.emit(&MetricsRecord::from_update_report(
+                    &label,
+                    step as u64 + 1,
+                    &up,
+                ));
                 control.update(delta);
                 delta.apply(&mut mirror);
                 let warm = certified.run();
-                emit_metric(
-                    metrics,
-                    &MetricsRecord::from_run_stats(&label, step as u64 + 1, &warm.stats),
-                );
+                metrics.emit(&MetricsRecord::from_run_stats(
+                    &label,
+                    step as u64 + 1,
+                    &warm.stats,
+                ));
                 let all = control.run();
                 let cold = build(mirror.clone(), backend, DEFAULT_CERTIFICATE_SLACK).run();
                 identical &= warm.matches == all.matches;
@@ -869,7 +747,6 @@ fn run_walksat_churn_ablation(
                 let w: std::collections::BTreeSet<_> = warm.matches.iter().collect();
                 let c: std::collections::BTreeSet<_> = cold.matches.iter().collect();
                 divergence = w.symmetric_difference(&c).count() as u64;
-                matches = warm.matches.len() as u64;
             }
             let pct = 100.0 * cold_probes.saturating_sub(certified_probes) as f64
                 / cold_probes.max(1) as f64;
@@ -887,30 +764,18 @@ fn run_walksat_churn_ablation(
             // Identity vs the control is *claimed* (and so enforced)
             // only for append-only scripts; under retraction the
             // rollback can leave an elided pair's memo stale enough to
-            // matter, and the record keeps the measured verdict instead
-            // of the binary failing over a claim never made.
+            // matter, and the verdict line records the measured outcome
+            // instead of the binary failing over a claim never made.
             if arm == "append-only" {
                 ok &= identical;
             }
-            report.walksat_churn_runs.push(WalksatChurnRecord {
-                dataset: name.to_owned(),
-                scale,
-                seed,
-                arm: arm.to_owned(),
-                backend: backend_label,
-                certificate_slack: DEFAULT_CERTIFICATE_SLACK,
-                steps: steps as u64,
-                certified_probes,
-                control_probes,
-                cold_probes,
-                certificates_checked: checked,
-                certificates_breached: breached,
-                walksat_probes_elided: elided,
-                probe_reduction_pct: pct,
-                divergence_vs_cold: divergence,
-                walksat_outputs_identical: identical,
-                matches,
-            });
+            metrics.emit(
+                &MetricsRecord::new("verdict")
+                    .push_str("label", &label)
+                    .push_bool("walksat_outputs_identical", identical)
+                    .push_u64("walksat_probes_elided", elided)
+                    .push_u64("divergence_vs_cold", divergence),
+            );
         }
     }
     ok
@@ -929,8 +794,7 @@ fn run_store_ablation(
     seed: Option<u64>,
     shards: usize,
     store_base: &str,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
+    metrics: &mut MetricsWriter,
 ) -> bool {
     let mut profile = profile_by_name(name).scaled(scale);
     if let Some(seed) = seed {
@@ -984,7 +848,7 @@ fn run_store_ablation(
             let mut live = build(base);
             live.run();
             live.update(&DatasetDelta::carve(&template, n / 2..n));
-            let warm = live.run();
+            live.run();
             let live_digest = live.state_digest();
             let store = live.session_store().expect("durable session has a store");
             let snapshot_bytes = store.snapshot_bytes();
@@ -1018,334 +882,18 @@ fn run_store_ablation(
                     "DIVERGED ✗"
                 },
             );
-            emit_metric(
-                metrics,
-                &MetricsRecord::from_store_probe(
-                    &format!("{name}/store/{matcher_label}/{backend_label}"),
-                    0,
-                    snapshot_bytes,
-                    wal_frames,
-                    recovery_ms as u64,
-                    identical,
-                ),
-            );
-            ok &= identical;
-            report.store_runs.push(em_bench::StoreRunRecord {
-                dataset: name.to_owned(),
-                scale,
-                seed,
-                matcher: matcher_label.to_owned(),
-                backend: backend_label,
+            metrics.emit(&MetricsRecord::from_store_probe(
+                &format!("{name}/store/{matcher_label}/{backend_label}"),
+                0,
                 snapshot_bytes,
-                wal_frames_replayed: wal_frames,
-                recovery_ms,
-                checkpoint_bytes,
-                frames_after_checkpoint: frames_after,
-                checkpoint_recovery_ms,
-                matches: warm.matches.len() as u64,
-                recovery_identical: identical,
-            });
+                wal_frames,
+                recovery_ms as u64,
+                identical,
+            ));
+            ok &= identical;
         }
     }
     ok
-}
-
-/// The `--serve on` ablation: three daemon-hosted sessions (growth,
-/// retraction churn, pathological churn) fed through one change
-/// stream with fences, micro-batching, and the freshness scheduler —
-/// sequential and sharded — then each verified byte-identical against
-/// a standalone replay of its op log. Returns `false` on any
-/// divergence or dead-lettered frame.
-fn run_serve_ablation(
-    name: &str,
-    scale: f64,
-    seed: Option<u64>,
-    shards: usize,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
-) -> bool {
-    let base_seed = seed.unwrap_or(7);
-    let shapes = [
-        ("grow", ChurnOptions::default()),
-        (
-            "churn",
-            ChurnOptions {
-                retract_fraction: 0.1,
-                ..Default::default()
-            },
-        ),
-        (
-            "storm",
-            ChurnOptions {
-                retract_fraction: 0.1,
-                readd_fraction: 0.5,
-                tuple_churn: 0.1,
-                link_churn: 0.1,
-                oversize_growth: 1,
-            },
-        ),
-    ];
-    println!(
-        "\nserve ablation — {name} (scale {scale}): 3 daemon-hosted sessions \
-         (grow / churn / storm), micro-batched change stream, verified against standalone \
-         replay, sequential and sharded-{shards}"
-    );
-    let mut ok = true;
-    for (backend_label, backend) in [
-        ("sequential".to_owned(), Backend::Sequential),
-        (
-            format!("sharded-{shards}"),
-            Backend::Sharded {
-                shards,
-                split_policy: SplitPolicy::Split,
-            },
-        ),
-    ] {
-        let traffic: Vec<SessionTraffic> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, (tag, opts))| {
-                let session_seed = base_seed + i as u64;
-                let mut profile = profile_by_name(name).scaled(scale);
-                profile = profile.with_seed(session_seed);
-                let template = generate(&profile).dataset;
-                let n = template.entities.len() as u32;
-                let (initial, deltas) =
-                    DatasetDelta::churn_script_with(&template, n * 3 / 5, 6, session_seed, opts);
-                SessionTraffic {
-                    name: (*tag).to_owned(),
-                    initial,
-                    deltas,
-                }
-            })
-            .collect();
-        let config = LoadConfig {
-            serve: ServeConfig::default(),
-            fence_every: 3,
-            rounds_per_burst: 2,
-            evict_mid_stream: false,
-            kill_every: 0,
-        };
-        let blocking = BlockingConfig {
-            kernel: SimilarityKernel::AuthorName,
-            ..Default::default()
-        };
-        let make = move |dataset: Dataset| {
-            Pipeline::new(dataset)
-                .blocking(blocking.clone())
-                .matcher(MatcherChoice::MlnExact)
-                .scheme(Scheme::Mmp)
-                .backend(backend)
-                .check_invariants(true)
-        };
-        let outcome = match run_load(traffic, &config, make) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                eprintln!("  serve ablation failed on {backend_label}: {e}");
-                ok = false;
-                continue;
-            }
-        };
-        for s in &outcome.sessions {
-            println!(
-                "  {backend_label:<12} {:<6} {} | batches {} frames {} coalesced {} sheds {} \
-                 budget misses {} | staleness p50 {:.2} ms p99 {:.2} ms | {} matches",
-                s.name,
-                if s.identical {
-                    "byte-identical ✓"
-                } else {
-                    "DIVERGED ✗"
-                },
-                s.batches,
-                s.frames_applied,
-                s.coalesced_frames,
-                s.shed_events,
-                s.budget_misses,
-                s.staleness_p50_ms,
-                s.staleness_p99_ms,
-                s.final_matches,
-            );
-            emit_metric(
-                metrics,
-                &MetricsRecord::from_serve_session(
-                    &format!("{name}/serve/{backend_label}"),
-                    s,
-                    outcome.dead_letters,
-                ),
-            );
-            report.serve_runs.push(em_bench::ServeRunRecord {
-                dataset: name.to_owned(),
-                scale,
-                seed,
-                backend: backend_label.clone(),
-                session: s.name.clone(),
-                batches: s.batches,
-                frames_applied: s.frames_applied,
-                coalesced_frames: s.coalesced_frames,
-                shed_events: s.shed_events,
-                budget_misses: s.budget_misses,
-                staleness_p50_ms: s.staleness_p50_ms,
-                staleness_p99_ms: s.staleness_p99_ms,
-                matches: s.final_matches,
-                serve_identical: s.identical,
-            });
-        }
-        ok &= outcome.sessions_identical && outcome.dead_letters == 0;
-    }
-    ok
-}
-
-/// The `--serve socket` arm: the same three traffic shapes served over
-/// a real Unix-domain socket through `em-net` — external client,
-/// length-prefixed CRC-guarded frames, LRU residency cap of 2 with
-/// durable evict/revive, and a kill/recover fault injection every
-/// other burst. Byte-identity is judged against a standalone replay of
-/// the daemon's op log, with digests and match sets read back over the
-/// wire.
-fn run_net_serve_ablation(
-    name: &str,
-    scale: f64,
-    seed: Option<u64>,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
-) -> bool {
-    let base_seed = seed.unwrap_or(7);
-    let shapes = [
-        ("grow", ChurnOptions::default()),
-        (
-            "churn",
-            ChurnOptions {
-                retract_fraction: 0.1,
-                ..Default::default()
-            },
-        ),
-        (
-            "storm",
-            ChurnOptions {
-                retract_fraction: 0.1,
-                readd_fraction: 0.5,
-                tuple_churn: 0.1,
-                link_churn: 0.1,
-                oversize_growth: 1,
-            },
-        ),
-    ];
-    println!(
-        "\nnet-serve ablation — {name} (scale {scale}): 3 sessions over a Unix-domain \
-         socket (external client, LRU cap 2, durable evict + kill/recover), verified \
-         byte-identical against standalone op-log replay"
-    );
-    let traffic: Vec<SessionTraffic> = shapes
-        .iter()
-        .enumerate()
-        .map(|(i, (tag, opts))| {
-            let session_seed = base_seed + i as u64;
-            let mut profile = profile_by_name(name).scaled(scale);
-            profile = profile.with_seed(session_seed);
-            let template = generate(&profile).dataset;
-            let n = template.entities.len() as u32;
-            let (initial, deltas) =
-                DatasetDelta::churn_script_with(&template, n * 3 / 5, 6, session_seed, opts);
-            SessionTraffic {
-                name: (*tag).to_owned(),
-                initial,
-                deltas,
-            }
-        })
-        .collect();
-    let scratch = std::env::temp_dir().join(format!("em-net-ablation-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let config = SocketLoadConfig {
-        serve: ServeConfig {
-            max_resident: 2,
-            store_root: Some(scratch.join("stores")),
-            ..Default::default()
-        },
-        transport: Transport::Unix,
-        socket_dir: scratch.join("sockets"),
-        fence_every: 3,
-        rounds_per_burst: 2,
-        evict_mid_stream: true,
-        kill_every: 2,
-    };
-    let blocking = BlockingConfig {
-        kernel: SimilarityKernel::AuthorName,
-        ..Default::default()
-    };
-    let make = move |dataset: Dataset| {
-        Pipeline::new(dataset)
-            .blocking(blocking.clone())
-            .matcher(MatcherChoice::MlnExact)
-            .scheme(Scheme::Mmp)
-            .backend(Backend::Sequential)
-            .check_invariants(true)
-    };
-    let outcome = match run_socket_load(traffic, &config, make) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("  net-serve ablation failed: {e}");
-            let _ = std::fs::remove_dir_all(&scratch);
-            return false;
-        }
-    };
-    for s in &outcome.sessions {
-        println!(
-            "  unix         {:<6} {} | batches {} frames {} coalesced {} sheds {} \
-             evictions {} revivals {} | staleness p50 {:.2} ms p99 {:.2} ms | {} matches",
-            s.name,
-            if s.identical {
-                "byte-identical ✓"
-            } else {
-                "DIVERGED ✗"
-            },
-            s.batches,
-            s.frames_applied,
-            s.coalesced_frames,
-            s.shed_events,
-            s.lru_evictions,
-            s.revivals,
-            s.staleness_p50_ms,
-            s.staleness_p99_ms,
-            s.final_matches,
-        );
-        emit_metric(
-            metrics,
-            &MetricsRecord::from_serve_session(
-                &format!("{name}/net-serve/unix"),
-                s,
-                outcome.dead_letters,
-            ),
-        );
-        report.net_serve_runs.push(NetServeRunRecord {
-            dataset: name.to_owned(),
-            scale,
-            seed,
-            backend: "sequential".to_owned(),
-            transport: "unix".to_owned(),
-            session: s.name.clone(),
-            batches: s.batches,
-            frames_applied: s.frames_applied,
-            coalesced_frames: s.coalesced_frames,
-            shed_events: s.shed_events,
-            lru_evictions: s.lru_evictions,
-            revivals: s.revivals,
-            crash_recoveries: outcome.crash_recoveries,
-            crash_recovery_identical: outcome.crash_recovery_identical,
-            staleness_p50_ms: s.staleness_p50_ms,
-            staleness_p99_ms: s.staleness_p99_ms,
-            matches: s.final_matches,
-            net_serve_identical: s.identical,
-        });
-    }
-    println!(
-        "  crash recoveries {} (identical: {}) | lru evictions {} | dead letters {}",
-        outcome.crash_recoveries,
-        outcome.crash_recovery_identical,
-        outcome.lru_evictions,
-        outcome.dead_letters,
-    );
-    let _ = std::fs::remove_dir_all(&scratch);
-    outcome.sessions_identical && outcome.crash_recovery_identical && outcome.dead_letters == 0
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1360,9 +908,7 @@ fn run_dataset(
     warm_start: bool,
     churn: bool,
     store: &str,
-    serve: &str,
-    report: &mut FrameworkReport,
-    metrics: &mut Option<FileMetrics>,
+    metrics: &mut MetricsWriter,
 ) -> bool {
     let arm_list = |flag: &str, what: &str| -> &'static [bool] {
         match flag {
@@ -1400,9 +946,6 @@ fn run_dataset(
                 "exact",
                 cached,
                 incremental_arms,
-                scale,
-                seed,
-                report,
                 metrics,
             );
         }
@@ -1413,9 +956,6 @@ fn run_dataset(
                 "walksat",
                 cached,
                 incremental_arms,
-                scale,
-                seed,
-                report,
                 metrics,
             );
         }
@@ -1430,15 +970,7 @@ fn run_dataset(
             // One shard ablation per dataset, against a fresh workload so
             // the matcher memo state of the cache arms cannot leak in.
             let w = prepare_opts(name, scale, seed, true);
-            ok &= run_shard_ablation(
-                &w,
-                shards,
-                incremental != "off",
-                scale,
-                seed,
-                report,
-                metrics,
-            );
+            ok &= run_shard_ablation(&w, shards, incremental != "off", metrics);
         }
     }
     if warm_start {
@@ -1447,31 +979,22 @@ fn run_dataset(
                 "\n(skipping --warm-start: the byte-identical guarantee needs the exact backend)"
             );
         } else {
-            ok &= run_warm_ablation(name, scale, seed, shards.max(4), report);
+            ok &= run_warm_ablation(name, scale, seed, shards.max(4), metrics);
         }
     }
     if churn {
         if backend == "exact" || backend == "both" {
-            ok &= run_churn_ablation(name, scale, seed, shards.max(4), report, metrics);
+            ok &= run_churn_ablation(name, scale, seed, shards.max(4), metrics);
         }
         if backend == "walksat" || backend == "both" {
-            ok &= run_walksat_churn_ablation(name, scale, seed, shards.max(4), report, metrics);
+            ok &= run_walksat_churn_ablation(name, scale, seed, shards.max(4), metrics);
         }
     }
     if store != "none" {
         // The store ablation covers both matchers itself (replay
         // determinism is per-backend, not a cross-backend claim), so it
         // runs regardless of --backend.
-        ok &= run_store_ablation(name, scale, seed, shards.max(4), store, report, metrics);
-    }
-    if serve != "off" {
-        // The serve ablation's identity gate is the exact backend's
-        // (standalone replay must be deterministic), so it runs exact
-        // regardless of --backend.
-        ok &= run_serve_ablation(name, scale, seed, shards.max(4), report, metrics);
-    }
-    if serve == "socket" {
-        ok &= run_net_serve_ablation(name, scale, seed, report, metrics);
+        ok &= run_store_ablation(name, scale, seed, shards.max(4), store, metrics);
     }
     ok
 }
@@ -1500,31 +1023,17 @@ fn main() {
         other => panic!("unknown --churn {other:?}; expected on | off"),
     };
     let store = flags.get_str("store", "none");
-    let serve = flags.get_str("serve", "off");
-    match serve.as_str() {
-        "on" | "off" | "socket" => {}
-        other => panic!("unknown --serve {other:?}; expected on | off | socket"),
-    }
-    let bench_out = flags.get_str("bench-out", "BENCH_framework.json");
     let metrics_path = flags.get_str("metrics", "none");
     let seed: Option<u64> = if flags.has("seed") {
         Some(flags.get("seed", 0u64))
     } else {
         None
     };
-    let mut metrics: Option<FileMetrics> = if metrics_path == "none" {
-        None
-    } else {
-        match MetricsWriter::create(&metrics_path, "fig3_runtime") {
-            Ok(writer) => Some(writer),
-            Err(e) => {
-                eprintln!("failed to open --metrics {metrics_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    let mut report = FrameworkReport::default();
-    let run = |name: &str, report: &mut FrameworkReport, metrics: &mut Option<FileMetrics>| {
+    let mut metrics = MetricsWriter::open(&metrics_path, "fig3_runtime").unwrap_or_else(|e| {
+        eprintln!("failed to open --metrics {metrics_path}: {e}");
+        std::process::exit(1);
+    });
+    let mut run = |name: &str| {
         run_dataset(
             name,
             scale,
@@ -1536,37 +1045,29 @@ fn main() {
             warm_start,
             churn,
             &store,
-            &serve,
-            report,
-            metrics,
+            &mut metrics,
         )
     };
     let ok = match flags.get_str("dataset", "both").as_str() {
         "both" => {
-            let a = run("hepth", &mut report, &mut metrics);
-            let b = run("dblp", &mut report, &mut metrics);
+            let a = run("hepth");
+            let b = run("dblp");
             a && b
         }
-        name => run(name, &mut report, &mut metrics),
+        name => run(name),
     };
-    if bench_out != "none" {
-        match report.write(&bench_out) {
-            Ok(()) => println!("\nwrote {bench_out}"),
-            Err(e) => eprintln!("\nfailed to write {bench_out}: {e}"),
-        }
-    }
-    if let Some(writer) = metrics.as_mut() {
-        match writer.flush() {
-            Ok(()) => println!("wrote {} metrics lines to {metrics_path}", writer.lines()),
-            Err(e) => eprintln!("failed to flush --metrics {metrics_path}: {e}"),
-        }
-    }
+    let metrics_ok = metrics
+        .finish()
+        .map_err(|e| eprintln!("fig3_runtime: --metrics {metrics_path} failed: {e}"))
+        .is_ok();
     if !ok {
         eprintln!(
             "fig3_runtime: an ablation diverged where identity is guaranteed (exact backend, \
-             certified walksat vs its control on an append-only script, durable-store \
-             recovery, or a daemon-hosted serve session vs its standalone replay)"
+             certified walksat vs its control on an append-only script, or durable-store \
+             recovery)"
         );
+    }
+    if !ok || !metrics_ok {
         std::process::exit(1);
     }
 }

@@ -33,10 +33,9 @@
 //! (requires `--store`), asserting the recovered wire digests match
 //! the pre-kill ones.
 //!
-//! The run ends with greppable verdict lines (CI gates on the first
-//! two plus, in socket mode, the crash-recovery line) and exits
-//! non-zero if identity fails, a crash recovery diverged, or frames
-//! went missing:
+//! The run ends with greppable verdict lines (CI gates on them) and
+//! exits non-zero if identity fails, a crash recovery diverged, frames
+//! went missing, or the metrics stream cannot be written:
 //!
 //! ```text
 //! serve_sessions_identical:true
@@ -50,7 +49,8 @@
 //! ```
 //!
 //! `--metrics PATH` streams one `em-metrics-v1` `serve` line per
-//! session plus a final `verdict` line.
+//! session (carrying its `serve_identical` verdict) plus a final
+//! `verdict` line with the run-level verdicts above.
 
 use em::{Backend, ChurnOptions, DatasetDelta, MatcherChoice, Pipeline, Scheme, SplitPolicy};
 use em_bench::{profile_by_name, Flags, MetricsRecord, MetricsWriter};
@@ -132,17 +132,10 @@ fn main() {
         Some(dir)
     };
     let metrics_path = flags.get_str("metrics", "none");
-    let mut metrics = if metrics_path == "none" {
-        None
-    } else {
-        match MetricsWriter::create(&metrics_path, "serve_load") {
-            Ok(writer) => Some(writer),
-            Err(e) => {
-                eprintln!("failed to open --metrics {metrics_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
+    let mut metrics = MetricsWriter::open(&metrics_path, "serve_load").unwrap_or_else(|e| {
+        eprintln!("failed to open --metrics {metrics_path}: {e}");
+        std::process::exit(1);
+    });
 
     let backend = if shards <= 1 {
         Backend::Sequential
@@ -219,10 +212,7 @@ fn main() {
                 evict_mid_stream: evict,
                 kill_every,
             };
-            run_load(traffic, &config, make).unwrap_or_else(|e| {
-                eprintln!("serve_load failed: {e}");
-                std::process::exit(1);
-            })
+            run_load(traffic, &config, make).map_err(|e| e.to_string())
         }
         Some(transport) => {
             let socket_dir =
@@ -237,12 +227,17 @@ fn main() {
                 evict_mid_stream: evict,
                 kill_every,
             };
-            let outcome = run_socket_load(traffic, &config, make).unwrap_or_else(|e| {
-                eprintln!("serve_load failed over socket: {e}");
-                std::process::exit(1);
-            });
+            let outcome = run_socket_load(traffic, &config, make).map_err(|e| e.to_string());
             let _ = std::fs::remove_dir_all(&socket_dir);
             outcome
+        }
+    };
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("serve_load failed: {e}");
+            let _ = metrics.finish();
+            std::process::exit(1);
         }
     };
 
@@ -267,16 +262,14 @@ fn main() {
         );
         coalesced += s.coalesced_frames;
         sheds += s.shed_events;
-        if let Some(writer) = &mut metrics {
-            let record = MetricsRecord::from_serve_session(&label, s, outcome.dead_letters);
-            if let Err(e) = writer.emit(&record) {
-                eprintln!("metrics stream failed, disabling: {e}");
-                metrics = None;
-            }
-        }
+        metrics.emit(&MetricsRecord::from_serve_session(
+            &label,
+            s,
+            outcome.dead_letters,
+        ));
     }
-    if let Some(writer) = &mut metrics {
-        let verdict = MetricsRecord::new("verdict")
+    metrics.emit(
+        &MetricsRecord::new("verdict")
             .push_str("label", &label)
             .push_bool("serve_sessions_identical", outcome.sessions_identical)
             .push_bool("serve_staleness_budget_met", outcome.staleness_budget_met)
@@ -289,11 +282,12 @@ fn main() {
                 outcome.crash_recovery_identical,
             )
             .push_u64("serve_lru_evictions", outcome.lru_evictions)
-            .push_u64("steps", outcome.steps);
-        if let Err(e) = writer.emit(&verdict) {
-            eprintln!("metrics stream failed: {e}");
-        }
-    }
+            .push_u64("steps", outcome.steps),
+    );
+    let metrics_ok = metrics
+        .finish()
+        .map_err(|e| eprintln!("serve_load: --metrics {metrics_path} failed: {e}"))
+        .is_ok();
     if let Some(dir) = &store_root {
         std::fs::remove_dir_all(dir).ok();
     }
@@ -312,7 +306,10 @@ fn main() {
         outcome.crash_recovery_identical
     );
     println!("serve_lru_evictions:{}", outcome.lru_evictions);
-    if !outcome.sessions_identical || !outcome.crash_recovery_identical || outcome.dead_letters > 0
+    if !outcome.sessions_identical
+        || !outcome.crash_recovery_identical
+        || outcome.dead_letters > 0
+        || !metrics_ok
     {
         std::process::exit(1);
     }

@@ -49,7 +49,8 @@
 //! nothing, so it fails the gate. `--metrics PATH` streams the whole
 //! run as `em-metrics-v1` JSONL (one `update` + `run` line per arm per
 //! step, one `store` line per recovery probe, plus a final `verdict`
-//! line). Exits non-zero if any verdict is false.
+//! line). Exits non-zero if any verdict is false or the metrics stream
+//! cannot be written.
 
 use em::{
     Backend, ChurnOptions, DatasetDelta, FaultPlan, MatcherChoice, Pipeline, RuntimeOptions,
@@ -60,20 +61,6 @@ use em_blocking::{BlockingConfig, SimilarityKernel};
 use em_core::Dataset;
 use em_datagen::generate;
 use std::time::Duration;
-
-/// The `--metrics` sink: an `em-metrics-v1` JSONL stream on disk.
-type FileMetrics = MetricsWriter<std::io::BufWriter<std::fs::File>>;
-
-/// Emit one metrics line if a sink is configured; on a write error,
-/// report it once and stop streaming (the soak itself keeps going).
-fn emit_metric(metrics: &mut Option<FileMetrics>, record: &MetricsRecord) {
-    if let Some(writer) = metrics {
-        if let Err(e) = writer.emit(record) {
-            eprintln!("metrics stream failed, disabling: {e}");
-            *metrics = None;
-        }
-    }
-}
 
 /// Silence the default panic message for injected faults so a soak of
 /// thousands of updates does not spam stderr with expected panics;
@@ -127,17 +114,10 @@ fn main() {
         Some(dir)
     };
     let metrics_path = flags.get_str("metrics", "none");
-    let mut metrics: Option<FileMetrics> = if metrics_path == "none" {
-        None
-    } else {
-        match MetricsWriter::create(&metrics_path, "soak") {
-            Ok(writer) => Some(writer),
-            Err(e) => {
-                eprintln!("failed to open --metrics {metrics_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
+    let mut metrics = MetricsWriter::open(&metrics_path, "soak").unwrap_or_else(|e| {
+        eprintln!("failed to open --metrics {metrics_path}: {e}");
+        std::process::exit(1);
+    });
     quiet_injected_panics();
 
     let template = generate(&profile_by_name(&dataset).scaled(scale).with_seed(seed)).dataset;
@@ -244,25 +224,29 @@ fn main() {
         let up_seq = seq.update(delta);
         let up_sharded = sharded.update(delta);
         delta.apply(&mut mirror);
-        emit_metric(
-            &mut metrics,
-            &MetricsRecord::from_update_report("soak/sequential", step, &up_seq),
-        );
-        emit_metric(
-            &mut metrics,
-            &MetricsRecord::from_update_report("soak/sharded", step, &up_sharded),
-        );
+        metrics.emit(&MetricsRecord::from_update_report(
+            "soak/sequential",
+            step,
+            &up_seq,
+        ));
+        metrics.emit(&MetricsRecord::from_update_report(
+            "soak/sharded",
+            step,
+            &up_sharded,
+        ));
 
         let warm_seq = seq.run();
         let warm_sharded = sharded.run();
-        emit_metric(
-            &mut metrics,
-            &MetricsRecord::from_run_stats("soak/sequential", step, &warm_seq.stats),
-        );
-        emit_metric(
-            &mut metrics,
-            &MetricsRecord::from_run_stats("soak/sharded", step, &warm_sharded.stats),
-        );
+        metrics.emit(&MetricsRecord::from_run_stats(
+            "soak/sequential",
+            step,
+            &warm_seq.stats,
+        ));
+        metrics.emit(&MetricsRecord::from_run_stats(
+            "soak/sharded",
+            step,
+            &warm_sharded.stats,
+        ));
         for (report, outcome) in [(&up_seq, &warm_seq), (&up_sharded, &warm_sharded)] {
             checks += report.invariant_checks + outcome.stats.invariant_checks;
             violations += report.invariant_violations + outcome.stats.invariant_violations;
@@ -303,17 +287,14 @@ fn main() {
                         recovered_arm.state_digest()
                     );
                 }
-                emit_metric(
-                    &mut metrics,
-                    &MetricsRecord::from_store_probe(
-                        "soak/store",
-                        step,
-                        snapshot_bytes,
-                        frames,
-                        recovery_ms as u64,
-                        same,
-                    ),
-                );
+                metrics.emit(&MetricsRecord::from_store_probe(
+                    "soak/store",
+                    step,
+                    snapshot_bytes,
+                    frames,
+                    recovery_ms as u64,
+                    same,
+                ));
                 // Checkpoint so the next probe replays only its own
                 // window (and the checkpoint→tail-replay path itself
                 // gets soaked, not just epoch-0 full replay).
@@ -388,8 +369,7 @@ fn main() {
          panics, {timeouts} fence timeouts, {recovered} shards recovered | durable arm: \
          {store_recoveries} recoveries, {store_frames_replayed} WAL frames replayed"
     );
-    emit_metric(
-        &mut metrics,
+    metrics.emit(
         &MetricsRecord::new("verdict")
             .push_u64("updates", updates as u64)
             .push_u64("cold_compares", cold_compares)
@@ -404,18 +384,16 @@ fn main() {
             .push_bool("fault_recovery_identical", recovery_identical)
             .push_bool("store_recovery_identical", store_ok),
     );
-    if let Some(writer) = metrics.as_mut() {
-        match writer.flush() {
-            Ok(()) => println!("wrote {} metrics lines to {metrics_path}", writer.lines()),
-            Err(e) => eprintln!("failed to flush --metrics {metrics_path}: {e}"),
-        }
-    }
+    let metrics_ok = metrics
+        .finish()
+        .map_err(|e| eprintln!("soak: --metrics {metrics_path} failed: {e}"))
+        .is_ok();
     println!("soak_invariants_ok:{invariants_ok}");
     println!("fault_recovery_identical:{recovery_identical}");
     if store_dir.is_some() {
         println!("store_recovery_identical:{store_ok}");
     }
-    if !invariants_ok || !recovery_identical || !store_ok {
+    if !invariants_ok || !recovery_identical || !store_ok || !metrics_ok {
         std::process::exit(1);
     }
 }

@@ -1,15 +1,14 @@
-//! `em-metrics-v1` — a structured JSONL stream of run metrics.
+//! `em-metrics-v1` — the one structured output of the bench binaries.
 //!
-//! Where [`crate::report`] persists one aggregated JSON document per
-//! bench invocation, this module streams **one self-describing JSON
-//! object per line** as a run progresses, so long soaks and churn
+//! `fig3_runtime`, `soak` and `serve_load` stream **one self-describing
+//! JSON object per line** as a run progresses, so long soaks and
 //! ablations leave a machine-readable trace of every step: run
 //! counters ([`em_core::framework::RunStats`]), update/rollback ledgers
-//! ([`em::UpdateReport`]), and shard fault/recovery ledgers
-//! ([`em_shard::ShardReport`]). The writer is hand-rolled (offline
-//! workspace, no serde), every line carries `"schema": "em-metrics-v1"`
-//! and a `"kind"` tag, and key order is stable so greps and line diffs
-//! work.
+//! ([`em::UpdateReport`]), shard fault/recovery ledgers
+//! ([`em_shard::ShardReport`]), and the identity verdicts CI gates on.
+//! The writer is hand-rolled (offline workspace, no serde), every line
+//! carries `"schema": "em-metrics-v1"` and a `"kind"` tag, and key
+//! order is stable so greps and line diffs work.
 //!
 //! Line kinds:
 //!
@@ -20,6 +19,7 @@
 //! | `shard` | one sharded run | epochs, skew, fault/recovery counters |
 //! | `store` | one durable-store recovery probe | snapshot bytes, frames replayed, recovery wall time, byte-identity verdict |
 //! | `serve` | one daemon-hosted session after a load run | batching/shed/staleness counters + replay-identity verdict |
+//! | `verdict` | one ablation arm, or the end of a soak / load run | a `label` plus the identity verdicts CI gates on (`outputs_identical`, `churn_outputs_identical`, `serve_sessions_identical`, …) |
 //! | anything else | callers | free-form fields via [`MetricsRecord::new`] |
 
 use em::UpdateReport;
@@ -252,37 +252,62 @@ impl MetricsRecord {
     }
 }
 
-/// Streams [`MetricsRecord`]s to any sink, one line each. The first
-/// line is always a `meta` record naming the producing tool, so a
-/// metrics file is self-describing from its head.
-pub struct MetricsWriter<W: Write> {
-    sink: W,
+/// The `--metrics` sink every bench binary shares: streams
+/// [`MetricsRecord`]s one line each, led by a `meta` record naming the
+/// producing tool, so a metrics file is self-describing from its head.
+///
+/// A write failure does not stop the run: the first error is kept, the
+/// stream stops, and [`MetricsWriter::finish`] returns it. Call
+/// `finish` before the process exits — on failure paths too — since
+/// CI gates on these files and `std::process::exit` skips the
+/// `BufWriter`'s drop.
+pub struct MetricsWriter<W: Write = std::io::BufWriter<std::fs::File>> {
+    sink: Option<W>,
     lines: u64,
+    error: Option<std::io::Error>,
 }
 
-impl MetricsWriter<std::io::BufWriter<std::fs::File>> {
-    /// Create (truncate) a metrics file at `path` and write the `meta`
-    /// header line.
-    pub fn create(path: &str, tool: &str) -> std::io::Result<Self> {
+impl MetricsWriter {
+    /// Open the sink a `--metrics` flag names: `none` is off (every
+    /// emit is a no-op); anything else is a file path, created
+    /// (truncated) with the `meta` header line.
+    pub fn open(path: &str, tool: &str) -> std::io::Result<Self> {
+        if path == "none" {
+            return Ok(Self {
+                sink: None,
+                lines: 0,
+                error: None,
+            });
+        }
         let file = std::fs::File::create(path)?;
-        Self::new(std::io::BufWriter::new(file), tool)
+        Ok(Self::new(std::io::BufWriter::new(file), tool))
     }
 }
 
 impl<W: Write> MetricsWriter<W> {
     /// Wrap an arbitrary sink and write the `meta` header line.
-    pub fn new(sink: W, tool: &str) -> std::io::Result<Self> {
-        let mut writer = Self { sink, lines: 0 };
-        writer.emit(&MetricsRecord::new("meta").push_str("tool", tool))?;
-        Ok(writer)
+    pub fn new(sink: W, tool: &str) -> Self {
+        let mut writer = Self {
+            sink: Some(sink),
+            lines: 0,
+            error: None,
+        };
+        writer.emit(&MetricsRecord::new("meta").push_str("tool", tool));
+        writer
     }
 
-    /// Write one record as one line.
-    pub fn emit(&mut self, record: &MetricsRecord) -> std::io::Result<()> {
-        self.sink.write_all(record.render().as_bytes())?;
-        self.sink.write_all(b"\n")?;
-        self.lines += 1;
-        Ok(())
+    /// Write one record as one line; a no-op once the stream is off or
+    /// has failed.
+    pub fn emit(&mut self, record: &MetricsRecord) {
+        let Some(sink) = &mut self.sink else { return };
+        let line = record.render() + "\n";
+        match sink.write_all(line.as_bytes()) {
+            Ok(()) => self.lines += 1,
+            Err(e) => {
+                self.error = Some(e);
+                self.sink = None;
+            }
+        }
     }
 
     /// Lines written so far (including the `meta` header).
@@ -290,9 +315,12 @@ impl<W: Write> MetricsWriter<W> {
         self.lines
     }
 
-    /// Flush the sink.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.sink.flush()
+    /// Flush the stream; returns the first write or flush error.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        if let Some(sink) = &mut self.sink {
+            sink.flush()?;
+        }
+        self.error.map_or(Ok(()), Err)
     }
 }
 
@@ -361,13 +389,10 @@ mod tests {
     #[test]
     fn writer_streams_header_then_records() {
         let mut buf = Vec::new();
-        {
-            let mut w = MetricsWriter::new(&mut buf, "soak").unwrap();
-            w.emit(&MetricsRecord::new("verdict").push_bool("soak_invariants_ok", true))
-                .unwrap();
-            assert_eq!(w.lines(), 2);
-            w.flush().unwrap();
-        }
+        let mut w = MetricsWriter::new(&mut buf, "soak");
+        w.emit(&MetricsRecord::new("verdict").push_bool("soak_invariants_ok", true));
+        assert_eq!(w.lines(), 2);
+        w.finish().unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -377,6 +402,46 @@ mod tests {
         for line in lines {
             assert!(line.starts_with("{\"schema\": \"em-metrics-v1\""));
         }
+    }
+
+    /// A `Write` that accepts `budget` writes, then fails every write
+    /// and every flush.
+    struct Failing {
+        budget: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.budget -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn write_and_flush_failures_surface_at_finish() {
+        // A failed write stops the stream and is reported by finish.
+        let mut w = MetricsWriter::new(Failing { budget: 1 }, "fig3_runtime");
+        w.emit(&MetricsRecord::new("verdict").push_bool("outputs_identical", true));
+        w.emit(&MetricsRecord::new("verdict").push_bool("outputs_identical", true));
+        assert_eq!(w.lines(), 1);
+        assert_eq!(w.finish().unwrap_err().to_string(), "disk full");
+        // Buffered lines that never reach the disk fail at the flush.
+        let mut w = MetricsWriter::new(std::io::BufWriter::new(Failing { budget: 0 }), "soak");
+        w.emit(&MetricsRecord::new("verdict").push_bool("soak_invariants_ok", true));
+        assert_eq!(w.lines(), 2);
+        assert!(w.finish().is_err());
+        // `none` is off: emits are no-ops and finish succeeds.
+        let mut off = MetricsWriter::open("none", "serve_load").unwrap();
+        off.emit(&MetricsRecord::new("verdict"));
+        assert_eq!(off.lines(), 0);
+        off.finish().unwrap();
     }
 
     #[test]

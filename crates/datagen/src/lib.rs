@@ -3,8 +3,8 @@
 //! The paper evaluates on HEPTH (KDD Cup 2003), a mutated DBLP snapshot,
 //! and full DBLP ("DBLP-BIG"). None of those are redistributable with
 //! this repository, so this crate generates synthetic bibliographic
-//! worlds with the same statistical signature (see `DESIGN.md` for the
-//! substitution argument):
+//! worlds with the same statistical signature (the paper's §6 dataset
+//! statistics, tabulated in [`profiles`]):
 //!
 //! * a latent [`world`] of true authors (Zipf-shared names, Zipf
 //!   productivity, community-structured coauthorship, backward

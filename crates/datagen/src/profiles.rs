@@ -35,7 +35,7 @@ pub enum CoauthorStyle {
     /// Full per-paper cliques (the literal "self-join on Authored").
     /// Under cliques, every pair's entire evidence closure lies inside
     /// its one-hop relational boundary, so local runs are already
-    /// complete — a reproduction finding recorded in EXPERIMENTS.md.
+    /// complete (a reproduction finding).
     Clique,
 }
 
