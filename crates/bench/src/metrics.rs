@@ -110,6 +110,8 @@ impl MetricsRecord {
             .push_u64("maximal_messages_created", stats.maximal_messages_created)
             .push_u64("promotions", stats.promotions)
             .push_u64("score_delta_calls", stats.score_delta_calls)
+            .push_u64("pairs_isolated", stats.pairs_isolated)
+            .push_u64("messages_subsumed", stats.messages_subsumed)
             .push_u64("conditioned_probes", stats.conditioned_probes)
             .push_u64("probes_replayed", stats.probes_replayed)
             .push_u64("memo_evictions", stats.memo_evictions)

@@ -687,8 +687,9 @@ impl<'a> MmpDriver<'a> {
                     {
                         continue;
                     }
-                    if let Some(root) = self.store.add_message(message) {
-                        self.dirty_messages.push(root);
+                    match self.store.add_message(message) {
+                        Some(root) => self.dirty_messages.push(root),
+                        None => self.core.stats.messages_subsumed += 1,
                     }
                 }
             }

@@ -149,14 +149,23 @@ impl MessageStore {
 
     /// Add a maximal message, merging with any existing overlapping
     /// messages (the `(T ∪ TC)*` closure). Returns the root of the merged
-    /// message.
+    /// message when the add changed the store — it covered a new pair or
+    /// bridged two stored messages — and `None` when every pair already
+    /// sat in one stored message (or `pairs` is empty).
+    ///
+    /// Senders re-check promotion only for `Some` roots: an unchanged
+    /// message failed the test at the last promotion fixpoint, and
+    /// [`mark_dirty_around`] re-dirties it as soon as a new match can
+    /// change its delta.
     pub fn add_message(&mut self, pairs: &[Pair]) -> Option<Pair> {
         let (&first, rest) = pairs.split_first()?;
+        let mut changed = false;
         let mut root = match self.find(first) {
             Some(r) => r,
             None => {
                 self.parent.insert(first, first);
                 self.members.insert(first, vec![first]);
+                changed = true;
                 first
             }
         };
@@ -181,6 +190,7 @@ impl MessageStore {
                         .expect("winner is a root")
                         .extend(moved);
                     root = winner;
+                    changed = true;
                 }
                 None => {
                     self.parent.insert(p, root);
@@ -188,10 +198,11 @@ impl MessageStore {
                         .get_mut(&root)
                         .expect("root has members")
                         .push(p);
+                    changed = true;
                 }
             }
         }
-        Some(root)
+        changed.then_some(root)
     }
 
     /// Current root of the message containing `pair`, if any.
@@ -1199,6 +1210,7 @@ fn compute_maximal_core(
     stats.matcher_calls += to_probe.len() as u64;
     stats.conditioned_probes += to_probe.len() as u64;
     stats.probes_replayed += (undecided.len() - to_probe.len()) as u64;
+    stats.pairs_isolated += elided.len() as u64;
 
     // When certificates are in play, ask the matcher for gap evidence
     // alongside the entailed sets (one search produces both); matchers
@@ -1244,15 +1256,25 @@ fn compute_maximal_core(
         certs.retain(|p| entailed_by_pair.contains_key(&p));
     }
 
+    // A pair that entails nothing has no mutual-entailment edge: it leaves
+    // at once as a singleton message. The graph covers the rest.
+    let mut messages: Vec<Vec<Pair>> = Vec::new();
+    let mut linked: Vec<Pair> = Vec::new();
+    for &p in &undecided {
+        if entailed_by_pair.get(&p).is_none_or(Vec::is_empty) {
+            if config.singleton_messages {
+                messages.push(vec![p]);
+            }
+        } else {
+            linked.push(p);
+        }
+    }
+
     // Mutual entailment edges → connected components (union-find on indices).
-    let index: FxHashMap<Pair, usize> =
-        undecided.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-    let mut entails: Vec<Vec<usize>> = Vec::with_capacity(undecided.len());
-    for p in &undecided {
-        let mut entailed: Vec<usize> = entailed_by_pair
-            .get(p)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    let index: FxHashMap<Pair, usize> = linked.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+    let mut entails: Vec<Vec<usize>> = Vec::with_capacity(linked.len());
+    for p in &linked {
+        let mut entailed: Vec<usize> = entailed_by_pair[p]
             .iter()
             .filter_map(|q| index.get(q).copied())
             .collect();
@@ -1260,7 +1282,7 @@ fn compute_maximal_core(
         entails.push(entailed);
     }
 
-    let mut parent: Vec<usize> = (0..undecided.len()).collect();
+    let mut parent: Vec<usize> = (0..linked.len()).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
             parent[x] = parent[parent[x]];
@@ -1284,14 +1306,15 @@ fn compute_maximal_core(
     }
 
     let mut components: FxHashMap<usize, Vec<Pair>> = FxHashMap::default();
-    for (i, &pair) in undecided.iter().enumerate() {
+    for (i, &pair) in linked.iter().enumerate() {
         let root = find(&mut parent, i);
         components.entry(root).or_default().push(pair);
     }
-    let mut messages: Vec<Vec<Pair>> = components
-        .into_values()
-        .filter(|m| config.singleton_messages || m.len() > 1)
-        .collect();
+    messages.extend(
+        components
+            .into_values()
+            .filter(|m| config.singleton_messages || m.len() > 1),
+    );
     for m in &mut messages {
         m.sort_unstable();
     }
@@ -1678,6 +1701,75 @@ mod tests {
         assert_eq!(store.retain_messages(|_| true), 0);
         assert_eq!(store.retain_messages(|_| false), 1);
         assert!(store.is_empty());
+    }
+
+    /// Each message's members, sorted, in sorted order.
+    fn message_sets(store: &MessageStore) -> Vec<Vec<Pair>> {
+        let mut sets: Vec<Vec<Pair>> = store
+            .roots()
+            .into_iter()
+            .map(|root| {
+                let mut members = store.message(root).unwrap().to_vec();
+                members.sort_unstable();
+                members
+            })
+            .collect();
+        sets.sort_unstable();
+        sets
+    }
+
+    #[test]
+    fn add_message_returns_a_root_only_when_the_store_changes() {
+        let mut store = MessageStore::new();
+        let first = store.add_message(&[p(0, 1), p(2, 3), p(4, 5)]);
+        assert!(first.is_some(), "a new message changes the store");
+        let second = store.add_message(&[p(8, 9)]);
+        assert!(second.is_some());
+        // A subset of one stored message, in any order, is a no-op.
+        assert_eq!(store.add_message(&[p(4, 5), p(0, 1)]), None);
+        assert_eq!(store.add_message(&[p(2, 3)]), None);
+        assert_eq!(store.add_message(&[p(8, 9), p(8, 9)]), None);
+        assert_eq!(store.len(), 2);
+        // A new pair joining a stored message returns the merged root.
+        let grown = store.add_message(&[p(2, 3), p(6, 7)]);
+        assert_eq!(grown, store.root_of(p(0, 1)));
+        assert!(grown.is_some());
+        // A new pair leading the message changes the store too.
+        let led = store.add_message(&[p(10, 11), p(8, 9)]);
+        assert_eq!(led, store.root_of(p(8, 9)));
+        assert!(led.is_some());
+        assert_eq!(store.len(), 2);
+        // A message bridging two stored ones returns the merged root.
+        let bridged = store.add_message(&[p(6, 7), p(10, 11)]);
+        assert!(bridged.is_some());
+        assert_eq!(store.len(), 1);
+        for pair in [p(0, 1), p(2, 3), p(4, 5), p(6, 7), p(8, 9), p(10, 11)] {
+            assert_eq!(store.root_of(pair), bridged);
+        }
+        // Once bridged, the same pairs are a subset again.
+        assert_eq!(store.add_message(&[p(0, 1), p(10, 11)]), None);
+        assert_eq!(store.validate(), Ok(6));
+    }
+
+    #[test]
+    fn retain_messages_rebuilds_the_same_forest_after_subsumed_adds() {
+        let mut store = MessageStore::new();
+        store.add_message(&[p(0, 1), p(2, 3)]);
+        store.add_message(&[p(4, 5)]);
+        store.add_message(&[p(2, 3)]); // subsumed
+        store.add_message(&[p(6, 7), p(4, 5)]); // grows
+        store.add_message(&[p(4, 5), p(6, 7)]); // subsumed
+        store.add_message(&[p(8, 9), p(10, 11)]);
+        let before = message_sets(&store);
+        let roots = store.roots();
+        assert_eq!(store.retain_messages(|_| true), 0);
+        assert_eq!(message_sets(&store), before);
+        assert_eq!(store.roots(), roots, "re-added in root order");
+        assert_eq!(store.validate(), Ok(6));
+        // The rebuilt forest keeps the add contract.
+        assert_eq!(store.add_message(&[p(6, 7)]), None);
+        assert!(store.add_message(&[p(6, 7), p(8, 9)]).is_some());
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

@@ -40,6 +40,15 @@ pub struct RunStats {
     /// not have changed them, or elided because the pair is a singleton
     /// ground-interaction component.
     pub probes_replayed: u64,
+    /// Undecided pairs whose probe was elided because no undecided pair
+    /// of the view interacts with them (singleton ground-interaction
+    /// components, first visits included). A subset of
+    /// `probes_replayed`.
+    pub pairs_isolated: u64,
+    /// Maximal messages whose add left the [`super::MessageStore`]
+    /// unchanged: every pair already sat in one stored message, so the
+    /// sender skipped the promotion re-check.
+    pub messages_subsumed: u64,
     /// Score-gap certificates inspected because their pair sat in a
     /// delta-touched ground component (the `Approximate` arm; see
     /// [`super::certificates`]). Each check ends as exactly one of
@@ -134,6 +143,8 @@ impl RunStats {
         self.score_delta_calls += other.score_delta_calls;
         self.conditioned_probes += other.conditioned_probes;
         self.probes_replayed += other.probes_replayed;
+        self.pairs_isolated += other.pairs_isolated;
+        self.messages_subsumed += other.messages_subsumed;
         self.certificates_checked += other.certificates_checked;
         self.certificates_breached += other.certificates_breached;
         self.probes_elided += other.probes_elided;
@@ -189,6 +200,13 @@ impl std::fmt::Display for RunStats {
                 f,
                 " | {} maximal messages, {} promoted",
                 self.maximal_messages_created, self.promotions
+            )?;
+        }
+        if self.pairs_isolated > 0 || self.messages_subsumed > 0 {
+            write!(
+                f,
+                " | {} pairs isolated, {} messages subsumed",
+                self.pairs_isolated, self.messages_subsumed
             )?;
         }
         if self.certificates_checked > 0 {
@@ -259,6 +277,8 @@ mod tests {
             score_delta_calls: 5,
             conditioned_probes: 2,
             probes_replayed: 1,
+            pairs_isolated: 1,
+            messages_subsumed: 4,
             memo_evictions: 0,
             rounds: 3,
             wall_time: Duration::from_millis(10),
@@ -268,6 +288,8 @@ mod tests {
             matcher_calls: 7,
             conditioned_probes: 5,
             probes_replayed: 2,
+            pairs_isolated: 2,
+            messages_subsumed: 1,
             rounds: 1,
             wall_time: Duration::from_millis(25),
             ..Default::default()
@@ -277,6 +299,8 @@ mod tests {
         assert_eq!(a.neighborhoods_processed, 2);
         assert_eq!(a.conditioned_probes, 7);
         assert_eq!(a.probes_replayed, 3);
+        assert_eq!(a.pairs_isolated, 3);
+        assert_eq!(a.messages_subsumed, 5);
         assert_eq!(a.rounds, 3);
         assert_eq!(a.wall_time, Duration::from_millis(25));
     }
@@ -307,12 +331,15 @@ mod tests {
         assert!(line.contains("5 matcher calls"));
         assert!(!line.contains("probes"), "no probe clause for SMP: {line}");
         assert!(!line.contains("maximal"), "no MMP clause: {line}");
+        assert!(!line.contains("isolated"), "no isolation clause: {line}");
 
         let mmp_like = RunStats {
             matcher_calls: 5,
             conditioned_probes: 3,
             probes_replayed: 1,
+            pairs_isolated: 1,
             maximal_messages_created: 2,
+            messages_subsumed: 1,
             promotions: 1,
             rounds: 4,
             ..Default::default()
@@ -320,6 +347,10 @@ mod tests {
         let line = mmp_like.to_string();
         assert!(line.contains("3 probes (1 replayed)"), "{line}");
         assert!(line.contains("2 maximal messages, 1 promoted"), "{line}");
+        assert!(
+            line.contains("1 pairs isolated, 1 messages subsumed"),
+            "{line}"
+        );
         assert!(line.contains("4 rounds"), "{line}");
     }
 

@@ -10,11 +10,15 @@
 //! * monotonic scheme ordering: NO-MP ⊆ SMP ⊆ MMP ⊆ full run.
 
 use em_core::cover::{Cover, NeighborhoodId};
+use em_core::dataset::View;
 use em_core::dataset::{Dataset, SimLevel};
 use em_core::entity::EntityId;
 use em_core::evidence::Evidence;
-use em_core::framework::{mmp_with_order, no_mp_baseline, smp_with_order, MmpConfig};
-use em_core::matcher::{MatchOutput, Matcher, Score};
+use em_core::framework::{
+    compute_maximal, mmp_with_order, no_mp_baseline, smp_with_order, MmpConfig, RunStats,
+};
+use em_core::hash::FxHashMap;
+use em_core::matcher::{GlobalScorer, MatchOutput, Matcher, ProbabilisticMatcher, Score};
 use em_core::pair::{Pair, PairSet};
 use em_core::testing::{paper_example, TableMatcher};
 use proptest::prelude::*;
@@ -276,6 +280,192 @@ proptest! {
             );
             prop_assert!(!out.matches.contains(p));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Algorithm 2 against a brute-force oracle.
+// ---------------------------------------------------------------------
+
+/// COMPUTEMAXIMAL by the book: probe every undecided pair of the view on
+/// its own, link `p` and `q` when each entails the other, and return the
+/// connected components (members sorted, components sorted).
+fn compute_maximal_oracle(
+    matcher: &dyn Matcher,
+    view: &View<'_>,
+    evidence: &Evidence,
+    base: &PairSet,
+    singleton_messages: bool,
+) -> Vec<Vec<Pair>> {
+    let mut undecided: Vec<Pair> = view
+        .candidate_pairs()
+        .into_iter()
+        .map(|(p, _)| p)
+        .filter(|&p| {
+            !base.contains(p) && !evidence.positive.contains(p) && !evidence.negative.contains(p)
+        })
+        .collect();
+    undecided.sort_unstable();
+    let entailed: Vec<Vec<Pair>> = undecided
+        .iter()
+        .map(|&p| matcher.probe_entailed(view, evidence, base, &[p]).remove(0))
+        .collect();
+    // Component label per pair, merged edge by edge over all pairs.
+    let mut label: Vec<usize> = (0..undecided.len()).collect();
+    for i in 0..undecided.len() {
+        for j in 0..undecided.len() {
+            let mutual = i != j
+                && entailed[i].contains(&undecided[j])
+                && entailed[j].contains(&undecided[i]);
+            if mutual && label[i] != label[j] {
+                let (keep, gone) = (label[i], label[j]);
+                for l in &mut label {
+                    if *l == gone {
+                        *l = keep;
+                    }
+                }
+            }
+        }
+    }
+    let mut messages: Vec<Vec<Pair>> = Vec::new();
+    for l in 0..undecided.len() {
+        let members: Vec<Pair> = (0..undecided.len())
+            .filter(|&i| label[i] == l)
+            .map(|i| undecided[i])
+            .collect();
+        if members.len() > 1 || (singleton_messages && members.len() == 1) {
+            messages.push(members);
+        }
+    }
+    messages.sort_unstable();
+    messages
+}
+
+/// A matcher whose probes answer from a fixed entailment table: the base
+/// is the positive evidence, and probing `p` entails exactly
+/// `table[p]`. The table is arbitrary — one-way entailments, entailed
+/// pairs outside the undecided set — which exercises the
+/// mutual-entailment graph beyond what any exact matcher produces.
+struct ScriptedMatcher {
+    table: FxHashMap<Pair, Vec<Pair>>,
+}
+
+impl Matcher for ScriptedMatcher {
+    fn match_view(&self, view: &View<'_>, evidence: &Evidence) -> PairSet {
+        view.restrict(&evidence.positive)
+    }
+
+    fn probe_entailed(
+        &self,
+        _view: &View<'_>,
+        _evidence: &Evidence,
+        _base: &PairSet,
+        probes: &[Pair],
+    ) -> Vec<Vec<Pair>> {
+        probes
+            .iter()
+            .map(|p| self.table.get(p).cloned().unwrap_or_default())
+            .collect()
+    }
+}
+
+impl ProbabilisticMatcher for ScriptedMatcher {
+    fn log_score(&self, _view: &View<'_>, _matches: &PairSet) -> Score {
+        unreachable!("COMPUTEMAXIMAL never scores")
+    }
+
+    fn global_scorer<'a>(
+        &'a self,
+        _dataset: &'a Dataset,
+    ) -> Box<dyn GlobalScorer + Send + Sync + 'a> {
+        unreachable!("COMPUTEMAXIMAL never builds a global scorer")
+    }
+}
+
+/// Check `compute_maximal` against the oracle on every neighborhood of
+/// the instance and on the full view, under empty evidence and under one
+/// positive plus one negative evidence pair, with singleton messages on
+/// and off.
+fn check_compute_maximal(
+    matcher: &dyn ProbabilisticMatcher,
+    ds: &Dataset,
+    cover: &Cover,
+) -> Result<(), TestCaseError> {
+    let pairs: Vec<Pair> = ds.candidate_pairs().map(|(p, _)| p).collect();
+    let evidences = [
+        Evidence::none(),
+        Evidence::new(
+            pairs.iter().take(1).copied().collect(),
+            pairs.iter().skip(1).take(1).copied().collect(),
+        ),
+    ];
+    let views = cover
+        .ids()
+        .map(|id| cover.view(ds, id))
+        .chain([ds.full_view()]);
+    for view in views {
+        for evidence in &evidences {
+            let local = Evidence::new(view.restrict(&evidence.positive), evidence.negative.clone());
+            let base = matcher.match_view(&view, &local);
+            for singleton_messages in [true, false] {
+                let config = MmpConfig {
+                    singleton_messages,
+                    ..Default::default()
+                };
+                let mut stats = RunStats::default();
+                let got = compute_maximal(matcher, &view, &local, &base, &config, &mut stats);
+                let want =
+                    compute_maximal_oracle(matcher, &view, &local, &base, singleton_messages);
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "view {:?}, singletons {}",
+                    view.members(),
+                    singleton_messages
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn compute_maximal_equals_the_brute_force_oracle(instance in instance_strategy()) {
+        let (ds, cover, matcher) = build(&instance);
+        check_compute_maximal(&matcher, &ds, &cover)?;
+    }
+
+    #[test]
+    fn compute_maximal_equals_the_oracle_under_one_way_entailment(
+        (instance, links) in instance_strategy().prop_flat_map(|instance| {
+            let np = instance.pairs.len();
+            (Just(instance), proptest::collection::vec((0..np, 0..np), 0..24))
+        })
+    ) {
+        // Build the candidate pairs exactly as `build` does, then script
+        // each (i, j) draw as "probing pair i entails pair j" — one-way
+        // unless (j, i) is drawn too.
+        let (ds, cover, _) = build(&instance);
+        let pair_of = |i: usize| {
+            let (a, d, _, _) = instance.pairs[i];
+            Pair::new(EntityId(a), EntityId((a + 1 + d) % instance.n_entities))
+        };
+        let mut table: FxHashMap<Pair, Vec<Pair>> = FxHashMap::default();
+        for &(i, j) in &links {
+            let (p, q) = (pair_of(i), pair_of(j));
+            if p != q {
+                table.entry(p).or_default().push(q);
+            }
+        }
+        // A pair entailing one outside every view's undecided set.
+        if let Some(&(i, _)) = links.first() {
+            let outside = Pair::new(EntityId(instance.n_entities), EntityId(instance.n_entities + 1));
+            table.entry(pair_of(i)).or_default().push(outside);
+        }
+        check_compute_maximal(&ScriptedMatcher { table }, &ds, &cover)?;
     }
 }
 

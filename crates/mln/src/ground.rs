@@ -88,6 +88,9 @@ fn witness_key(a: Pair, b: Pair) -> WitnessKey {
 }
 
 /// Ground `model` over `view`.
+///
+/// Each view member's witness list is built once per relational rule
+/// and shared by every candidate pair containing the member.
 pub fn ground(model: &MlnModel, view: &View<'_>) -> GroundModel {
     let candidate_pairs = view.candidate_pairs();
     let mut vars: Vec<Pair> = candidate_pairs.iter().map(|&(p, _)| p).collect();
@@ -107,30 +110,35 @@ pub fn ground(model: &MlnModel, view: &View<'_>) -> GroundModel {
     // Deduplication sets, keyed per paper semantics.
     let mut seen_unary: FxHashSet<(u32, u16, WitnessKey)> = FxHashSet::default();
     let mut seen_binary: FxHashSet<(u32, u32, u16, WitnessKey)> = FxHashSet::default();
+    let mut witnesses: FxHashMap<EntityId, Vec<EntityId>> = FxHashMap::default();
 
     for rule in &model.relational {
         let rel = rule.relation;
-        for &p in &vars {
-            let pv = index[&p];
+        // Witnesses: relation neighbors in either direction, restricted
+        // to the view. Symmetric relations already report both ways.
+        let around = |e: EntityId| -> Vec<EntityId> {
+            let mut out: Vec<EntityId> = relations
+                .neighbors_out(rel, e)
+                .iter()
+                .chain(relations.neighbors_in(rel, e).iter())
+                .copied()
+                .filter(|&c| c != e && view.contains(c))
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        witnesses.clear();
+        for p in &vars {
+            for e in [p.lo(), p.hi()] {
+                witnesses.entry(e).or_insert_with(|| around(e));
+            }
+        }
+        for (pv, &p) in vars.iter().enumerate() {
+            let pv = pv as u32;
             let (e1, e2) = (p.lo(), p.hi());
-            // Witnesses: relation neighbors in either direction, restricted
-            // to the view. Symmetric relations already report both ways.
-            let around = |e: EntityId| -> Vec<EntityId> {
-                let mut out: Vec<EntityId> = relations
-                    .neighbors_out(rel, e)
-                    .iter()
-                    .chain(relations.neighbors_in(rel, e).iter())
-                    .copied()
-                    .filter(|&c| c != e && view.contains(c))
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            };
-            let c1s = around(e1);
-            let c2s = around(e2);
-            for &c1 in &c1s {
-                for &c2 in &c2s {
+            for &c1 in &witnesses[&e1] {
+                for &c2 in &witnesses[&e2] {
                     let w1 = Pair::new(e1, c1);
                     let w2 = Pair::new(e2, c2);
                     let wkey = witness_key(w1, w2);
@@ -183,11 +191,107 @@ pub fn ground(model: &MlnModel, view: &View<'_>) -> GroundModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::MlnModel;
+    use crate::model::{MlnModel, RelationalRule};
     use em_core::{Dataset, SimLevel};
+    use proptest::prelude::*;
 
     fn e(id: u32) -> EntityId {
         EntityId(id)
+    }
+
+    /// The per-pair-witness grounding [`ground`] must reproduce field by
+    /// field: it rebuilds both endpoints' witness lists for every
+    /// candidate pair and every relational rule.
+    fn ground_reference(model: &MlnModel, view: &View<'_>) -> GroundModel {
+        let candidate_pairs = view.candidate_pairs();
+        let mut vars: Vec<Pair> = candidate_pairs.iter().map(|&(p, _)| p).collect();
+        vars.sort_unstable();
+        let index: FxHashMap<Pair, u32> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i as u32))
+            .collect();
+        let mut unary = vec![Score::ZERO; vars.len()];
+        for &(p, level) in &candidate_pairs {
+            unary[index[&p] as usize] += model.sim_weight(level);
+        }
+
+        let relations = &view.dataset().relations;
+        let mut edges: Vec<GroundEdge> = Vec::new();
+        // Deduplication sets, keyed per paper semantics.
+        let mut seen_unary: FxHashSet<(u32, u16, WitnessKey)> = FxHashSet::default();
+        let mut seen_binary: FxHashSet<(u32, u32, u16, WitnessKey)> = FxHashSet::default();
+
+        for rule in &model.relational {
+            let rel = rule.relation;
+            for &p in &vars {
+                let pv = index[&p];
+                let (e1, e2) = (p.lo(), p.hi());
+                // Witnesses: relation neighbors in either direction, restricted
+                // to the view. Symmetric relations already report both ways.
+                let around = |e: EntityId| -> Vec<EntityId> {
+                    let mut out: Vec<EntityId> = relations
+                        .neighbors_out(rel, e)
+                        .iter()
+                        .chain(relations.neighbors_in(rel, e).iter())
+                        .copied()
+                        .filter(|&c| c != e && view.contains(c))
+                        .collect();
+                    out.sort_unstable();
+                    out.dedup();
+                    out
+                };
+                let c1s = around(e1);
+                let c2s = around(e2);
+                for &c1 in &c1s {
+                    for &c2 in &c2s {
+                        let w1 = Pair::new(e1, c1);
+                        let w2 = Pair::new(e2, c2);
+                        let wkey = witness_key(w1, w2);
+                        if c1 == c2 {
+                            // Reflexive body atom equals(c, c): always true.
+                            if seen_unary.insert((pv, rel.0, wkey)) {
+                                unary[pv as usize] += rule.weight;
+                            }
+                            continue;
+                        }
+                        let q = Pair::new(c1, c2);
+                        if q == p {
+                            // Body atom is the head pair itself: fires iff the
+                            // pair is matched — a unary bonus.
+                            if seen_unary.insert((pv, rel.0, wkey)) {
+                                unary[pv as usize] += rule.weight;
+                            }
+                            continue;
+                        }
+                        let Some(qv) = index.get(&q).copied() else {
+                            continue; // equals(c1, c2) can never hold
+                        };
+                        let key = (pv.min(qv), pv.max(qv), rel.0, wkey);
+                        if seen_binary.insert(key) {
+                            edges.push(GroundEdge {
+                                vars: vec![pv.min(qv), pv.max(qv)],
+                                weight: rule.weight,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut incident: Vec<Vec<u32>> = vec![Vec::new(); vars.len()];
+        for (ei, e) in edges.iter().enumerate() {
+            for &v in &e.vars {
+                incident[v as usize].push(ei as u32);
+            }
+        }
+        GroundModel {
+            vars,
+            index,
+            unary,
+            edges,
+            incident,
+        }
     }
 
     /// The §2.1 example dataset (same ids as `em_core::testing`).
@@ -316,5 +420,120 @@ mod tests {
         let v = gm.var_of(Pair::new(e(0), e(1))).unwrap();
         // −2.28 + 2·2.46 = +2.64.
         assert_eq!(gm.unary[v as usize], Score::from_weight(-2.28 + 2.0 * 2.46));
+    }
+
+    fn assert_same_grounding(model: &MlnModel, view: &View<'_>) {
+        let fast = ground(model, view);
+        let reference = ground_reference(model, view);
+        assert_eq!(fast.vars, reference.vars, "vars");
+        assert_eq!(fast.index, reference.index, "index");
+        assert_eq!(fast.unary, reference.unary, "unary");
+        assert_eq!(fast.edges, reference.edges, "edges, in order");
+        assert_eq!(fast.incident, reference.incident, "incident");
+    }
+
+    /// Two relations (symmetric `coauthor`, directed `cites`), three
+    /// rules (two over `coauthor`), tuples and candidate pairs from
+    /// `(a, offset)` draws, then the listed entities retracted.
+    fn random_world(
+        n: u32,
+        coauthor: &[(u32, u32)],
+        cites: &[(u32, u32)],
+        pairs: &[(u32, u32, u8)],
+        retract: &[u32],
+    ) -> (Dataset, MlnModel) {
+        let mut ds = Dataset::new();
+        let ty = ds.entities.intern_type("author_ref");
+        for _ in 0..n {
+            ds.entities.add_entity(ty);
+        }
+        let co = ds.relations.declare("coauthor", true);
+        let ci = ds.relations.declare("cites", false);
+        for (rel, tuples) in [(co, coauthor), (ci, cites)] {
+            for &(a, off) in tuples {
+                ds.relations.add_tuple(rel, e(a), e((a + off) % n));
+            }
+        }
+        for &(a, off, level) in pairs {
+            let b = (a + 1 + off) % n;
+            if a != b {
+                ds.set_similar(Pair::new(e(a), e(b)), SimLevel(level));
+            }
+        }
+        for &r in retract {
+            if ds.entities.is_live(e(r)) {
+                ds.retract_entity(e(r));
+            }
+        }
+        let rule = |relation, weight| RelationalRule {
+            relation,
+            weight: Score::from_weight(weight),
+        };
+        let model = MlnModel {
+            relational: vec![rule(co, 2.46), rule(ci, 1.5), rule(co, 0.5)],
+            ..MlnModel::paper_model(co)
+        };
+        (ds, model)
+    }
+
+    #[test]
+    fn grounding_matches_the_per_pair_reference_on_the_edge_cases() {
+        let mut ds = example();
+        let co = ds.relations.relation_id("coauthor").unwrap();
+        let cites = ds.relations.declare("cites", false);
+        // A witness that is the head pair itself: b2 and b3 coauthor.
+        ds.relations.add_tuple(co, e(3), e(4));
+        // A directed relation: c1 → c2 only, and a reflexive cites
+        // witness d1 of c2 and c3.
+        ds.relations.add_tuple(cites, e(5), e(6));
+        ds.relations.add_tuple(cites, e(6), e(8));
+        ds.relations.add_tuple(cites, e(8), e(7));
+        let model = MlnModel {
+            relational: vec![
+                RelationalRule {
+                    relation: co,
+                    weight: Score::from_weight(8.0),
+                },
+                RelationalRule {
+                    relation: cites,
+                    weight: Score::from_weight(3.0),
+                },
+            ],
+            ..MlnModel::example_model(co)
+        };
+        assert_same_grounding(&model, &ds.full_view());
+        // d1 outside the view: the reflexive witness of (c1, c2) and
+        // (c2, c3) is out of reach.
+        assert_same_grounding(&model, &ds.view([e(2), e(3), e(4), e(5), e(6), e(7)]));
+        // Retract b1: its pairs and tuples disappear.
+        ds.retract_entity(e(2));
+        assert_same_grounding(&model, &ds.full_view());
+        assert_same_grounding(&model, &ds.view([e(3), e(4), e(5), e(6), e(8)]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn grounding_matches_the_per_pair_reference_on_random_views(
+            (n, coauthor, cites, pairs, retract, views) in (3u32..12).prop_flat_map(|n| (
+                Just(n),
+                proptest::collection::vec((0..n, 0..n), 0..16),
+                proptest::collection::vec((0..n, 0..n), 0..10),
+                proptest::collection::vec((0..n, 0..n - 1, 1u8..=3), 0..16),
+                proptest::collection::vec(0..n, 0..3),
+                proptest::collection::vec(proptest::collection::vec(0..n, 0..=(n as usize)), 1..4),
+            ))
+        ) {
+            let (ds, model) = random_world(n, &coauthor, &cites, &pairs, &retract);
+            assert_same_grounding(&model, &ds.full_view());
+            for members in views {
+                let members = members
+                    .into_iter()
+                    .map(e)
+                    .filter(|&m| ds.entities.is_live(m));
+                assert_same_grounding(&model, &ds.view(members));
+            }
+        }
     }
 }

@@ -874,8 +874,9 @@ pub fn shard_mmp_planned_opts(
                     if message.iter().any(|p| global.negative.contains(*p)) {
                         continue;
                     }
-                    if let Some(root) = store.add_message(&message) {
-                        dirty_messages.push(root);
+                    match store.add_message(&message) {
+                        Some(root) => dirty_messages.push(root),
+                        None => coordinator_stats.messages_subsumed += 1,
                     }
                 }
             }

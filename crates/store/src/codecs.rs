@@ -998,6 +998,37 @@ mod tests {
     }
 
     #[test]
+    fn message_store_decode_rebuilds_the_same_forest() {
+        let mut store = MessageStore::new();
+        store.add_message(&[p(4, 5), p(0, 1)]);
+        store.add_message(&[p(0, 1)]); // subsumed
+        store.add_message(&[p(6, 7)]);
+        store.add_message(&[p(6, 7), p(2, 3)]); // grows
+        store.add_message(&[p(8, 9)]);
+        let out = roundtrip(&store, encode_message_store, decode_message_store);
+        // Roots follow merge history, so compare the message sets.
+        let sets = |s: &MessageStore| {
+            let mut sets: Vec<Vec<Pair>> = s
+                .roots()
+                .into_iter()
+                .map(|root| {
+                    let mut members = s.message(root).unwrap().to_vec();
+                    members.sort_unstable();
+                    members
+                })
+                .collect();
+            sets.sort_unstable();
+            sets
+        };
+        assert_eq!(sets(&out), sets(&store));
+        assert_eq!(out.validate(), Ok(5));
+        // Decoded stores keep the add contract: subsets are no-ops.
+        let mut out = out;
+        assert_eq!(out.add_message(&[p(2, 3), p(6, 7)]), None);
+        assert!(out.add_message(&[p(2, 3), p(8, 9)]).is_some());
+    }
+
+    #[test]
     fn warm_start_round_trips_banks_store_and_floor() {
         let mut warm = WarmStart::new();
         warm.entity_floor = 17;
