@@ -2,7 +2,9 @@
 //! canopy blocking, max-flow, MLN grounding + inference, RULES fixpoint.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use em_blocking::{canopies, CanopyParams};
+use em_blocking::{
+    block_dataset_with_features, canopies, BlockingConfig, CanopyParams, SimilarityKernel,
+};
 use em_core::evidence::Evidence;
 use em_core::{Dataset, EntityId, Matcher, Pair, SimLevel};
 use em_datagen::{generate, DatasetProfile};
@@ -17,6 +19,8 @@ fn bench_similarity(c: &mut Criterion) {
         ("vibhor rastogi", "v rastogi"),
         ("nilesh dalvi", "nilesh dalvi"),
         ("minos garofalakis", "minos garofalaki"),
+        // Non-ASCII names take the decoded-`char` path.
+        ("jürgen müller", "jurgen müller"),
     ];
     group.bench_function("jaro_winkler", |b| {
         b.iter(|| {
@@ -68,6 +72,30 @@ fn bench_canopy(c: &mut Criterion) {
         BenchmarkId::new("canopies", points.len()),
         &points,
         |b, points| b.iter(|| black_box(canopies(points, &CanopyParams::default()))),
+    );
+    // The whole blocking pipeline as `em_bench::prepare` runs it:
+    // canopies over the render-time feature cache, AuthorName scoring,
+    // cover assembly and validation.
+    let world = generate(&DatasetProfile::dblp().scaled(0.05).with_seed(7));
+    let config = BlockingConfig {
+        kernel: SimilarityKernel::AuthorName,
+        ..Default::default()
+    };
+    group.bench_with_input(
+        BenchmarkId::new("pipeline", world.references.len()),
+        &world,
+        |b, world| {
+            b.iter_batched(
+                || world.dataset.clone(),
+                |mut dataset| {
+                    black_box(
+                        block_dataset_with_features(&mut dataset, &config, Some(&world.features))
+                            .expect("total cover"),
+                    )
+                },
+                BatchSize::LargeInput,
+            )
+        },
     );
     group.finish();
 }

@@ -14,7 +14,7 @@
 //! index as the cheap similarity, and picks centers in ascending id order
 //! so runs are deterministic.
 
-use crate::inverted_index::InvertedIndex;
+use crate::inverted_index::{InvertedIndex, OverlapCounter};
 use em_core::hash::{FxHashMap, FxHashSet};
 use em_core::EntityId;
 use em_similarity::FeatureCache;
@@ -255,12 +255,13 @@ pub fn canopies_cached_incremental(
 
     // Dirty = every surviving point within the loose threshold of a
     // delta point (its canopy candidate set gained or lost a member).
+    let mut counter = OverlapCounter::new(&index);
     let mut dirty: FxHashSet<EntityId> = FxHashSet::default();
     for grams in delta_grams {
         if grams.is_empty() {
             continue;
         }
-        for (doc, _) in index.candidates_above_ids(grams, params.loose) {
+        for &(doc, _) in counter.above(grams, grams.len() as u32, params.loose) {
             dirty.insert(points[doc as usize]);
         }
     }
@@ -286,7 +287,8 @@ pub fn canopies_cached_incremental(
             None => {
                 delta.recomputed += 1;
                 let mut members = vec![(entity, true)];
-                for (doc, sim) in index.candidates_above_ids(sets[center], params.loose) {
+                let query = sets[center];
+                for &(doc, sim) in counter.above(query, query.len() as u32, params.loose) {
                     let doc_idx = doc as usize;
                     if doc_idx == center {
                         continue;
@@ -344,6 +346,7 @@ fn run_canopies(
         params.tight >= params.loose,
         "canopy tight threshold must be ≥ loose threshold"
     );
+    let mut counter = OverlapCounter::new(index);
     let mut center_eligible = vec![true; entities.len()];
     let mut out: Vec<Vec<EntityId>> = Vec::new();
     for center in 0..entities.len() {
@@ -352,11 +355,15 @@ fn run_canopies(
         }
         center_eligible[center] = false;
         let mut members = vec![entities[center]];
-        let candidates = match &queries[center] {
-            Query::Text(s) => index.candidates_above(s, params.loose),
-            Query::GramIds(ids) => index.candidates_above_ids(ids, params.loose),
+        let text_ids;
+        let (ids, query_grams) = match queries[center] {
+            Query::Text(s) => {
+                text_ids = index.query_gram_ids(s);
+                (&text_ids.0[..], text_ids.1)
+            }
+            Query::GramIds(ids) => (ids, ids.len() as u32),
         };
-        for (doc, sim) in candidates {
+        for &(doc, sim) in counter.above(ids, query_grams, params.loose) {
             let doc_idx = doc as usize;
             if doc_idx == center {
                 continue;

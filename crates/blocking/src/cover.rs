@@ -1,5 +1,7 @@
 //! Assembling a total [`Cover`] from canopies.
 
+use crate::partition::split_oversized;
+use em_core::cover::expand_to_total;
 use em_core::hash::FxHashSet;
 use em_core::{Cover, Dataset, EntityId};
 
@@ -10,19 +12,33 @@ use em_core::{Cover, Dataset, EntityId};
 ///    are never canopy points) gets a singleton neighborhood so the result
 ///    is a cover of *all* entities;
 /// 3. each neighborhood is expanded with its relational boundary for
-///    `boundary_hops` hops (§4's construction), making the cover total.
+///    `boundary_hops` hops (§4's construction), making the cover total;
+/// 4. neighborhoods that are exact duplicates of an earlier one (which
+///    canopy overlap frequently produces) are dropped;
+/// 5. with `max_neighborhood_size`, every larger neighborhood is split
+///    into the connected components of its internal evidence graph
+///    (which keeps the cover total), and duplicates are dropped again.
+///
+/// Every step works on plain sorted member lists; the cover's entity
+/// index is built once, at the end.
 pub fn cover_from_canopies(
     dataset: &Dataset,
     canopies: Vec<Vec<EntityId>>,
     boundary_hops: usize,
+    max_neighborhood_size: Option<usize>,
 ) -> Cover {
     let mut covered: Vec<bool> = vec![false; dataset.entities.len()];
-    for canopy in &canopies {
-        for e in canopy {
+    let mut neighborhoods: Vec<Vec<EntityId>> = Vec::with_capacity(canopies.len());
+    for mut members in canopies {
+        members.sort_unstable();
+        members.dedup();
+        for e in &members {
             covered[e.index()] = true;
         }
+        if !members.is_empty() {
+            neighborhoods.push(members);
+        }
     }
-    let mut neighborhoods = canopies;
     for (i, was_covered) in covered.iter().enumerate() {
         // Retracted entities need no singleton — they carry no tuples or
         // candidate pairs and the cover validation skips them.
@@ -30,22 +46,28 @@ pub fn cover_from_canopies(
             neighborhoods.push(vec![EntityId(i as u32)]);
         }
     }
-    let cover = Cover::from_neighborhoods(neighborhoods);
-    cover.expand_to_total(dataset, boundary_hops)
+    expand_to_total(dataset, &mut neighborhoods, boundary_hops);
+    dedupe_exact(&mut neighborhoods);
+    if let Some(max) = max_neighborhood_size {
+        neighborhoods = split_oversized(neighborhoods, dataset, max);
+        dedupe_exact(&mut neighborhoods);
+    }
+    Cover::from_neighborhoods(neighborhoods)
 }
 
-/// Drop neighborhoods that are exact duplicates of another neighborhood
-/// (identical member sets), which canopy overlap frequently produces.
-pub fn dedupe_exact(cover: &Cover) -> Cover {
-    let mut seen: FxHashSet<Vec<EntityId>> = FxHashSet::default();
-    let mut kept: Vec<Vec<EntityId>> = Vec::new();
-    for id in cover.ids() {
-        let members = cover.members(id).to_vec();
-        if seen.insert(members.clone()) {
-            kept.push(members);
-        }
-    }
-    Cover::from_neighborhoods(kept)
+/// Drop every neighborhood whose sorted member list equals an earlier
+/// one's, keeping the first; compares borrowed slices, copies nothing.
+fn dedupe_exact(neighborhoods: &mut Vec<Vec<EntityId>>) {
+    let keep: Vec<bool> = {
+        let mut seen: FxHashSet<&[EntityId]> =
+            FxHashSet::with_capacity_and_hasher(neighborhoods.len(), Default::default());
+        neighborhoods
+            .iter()
+            .map(|n| seen.insert(n.as_slice()))
+            .collect()
+    };
+    let mut keep = keep.into_iter();
+    neighborhoods.retain(|_| keep.next() == Some(true));
 }
 
 #[cfg(test)]
@@ -78,7 +100,8 @@ mod tests {
     #[test]
     fn uncovered_entities_get_singletons() {
         let ds = dataset();
-        let cover = cover_from_canopies(&ds, vec![vec![e(0), e(2)], vec![e(1)], vec![e(3)]], 0);
+        let cover =
+            cover_from_canopies(&ds, vec![vec![e(0), e(2)], vec![e(1)], vec![e(3)]], 0, None);
         assert!(
             cover.validate_cover(&ds).is_ok(),
             "paper e4 must be covered"
@@ -88,7 +111,8 @@ mod tests {
     #[test]
     fn boundary_expansion_makes_total() {
         let ds = dataset();
-        let cover = cover_from_canopies(&ds, vec![vec![e(0), e(2)], vec![e(1)], vec![e(3)]], 1);
+        let cover =
+            cover_from_canopies(&ds, vec![vec![e(0), e(2)], vec![e(1)], vec![e(3)]], 1, None);
         assert!(cover.validate_total(&ds).is_ok());
         // The canopy {e0, e2} pulls in coauthor e1 and paper e4.
         let first = cover.members(em_core::NeighborhoodId(0));
@@ -98,8 +122,11 @@ mod tests {
 
     #[test]
     fn dedupe_removes_identical_neighborhoods() {
-        let cover = Cover::from_neighborhoods(vec![vec![e(0), e(1)], vec![e(1), e(0)], vec![e(2)]]);
-        let deduped = dedupe_exact(&cover);
-        assert_eq!(deduped.len(), 2);
+        let ds = dataset();
+        let canopies = vec![vec![e(0), e(1)], vec![e(1), e(0)], vec![e(2)], vec![e(3)]];
+        let cover = cover_from_canopies(&ds, canopies, 0, None);
+        // {e0, e1} once, {e2}, {e3}, and the paper's singleton {e4}.
+        assert_eq!(cover.len(), 4);
+        assert_eq!(cover.members(em_core::NeighborhoodId(0)), &[e(0), e(1)]);
     }
 }

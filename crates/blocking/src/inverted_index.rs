@@ -111,7 +111,7 @@ impl InvertedIndex {
     /// # Panics
     /// Panics if the index was built from pre-interned ids (no string
     /// vocabulary to resolve against).
-    fn query_gram_ids(&self, query: &str) -> (Vec<u32>, u32) {
+    pub(crate) fn query_gram_ids(&self, query: &str) -> (Vec<u32>, u32) {
         let grams = self
             .grams
             .as_ref()
@@ -140,14 +140,14 @@ impl InvertedIndex {
 
     /// Candidates for a pre-interned, deduplicated gram-id set.
     pub fn candidates_for_ids(&self, gram_ids: &[u32]) -> FxHashMap<u32, u32> {
-        let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-        for &gram in gram_ids {
-            if let Some(ids) = self.postings.get(gram as usize) {
-                for &id in ids {
-                    *counts.entry(id).or_insert(0) += 1;
-                }
-            }
-        }
+        let mut counter = OverlapCounter::new(self);
+        counter.count(gram_ids);
+        let counts = counter
+            .touched
+            .iter()
+            .map(|&doc| (doc, counter.shared[doc as usize]))
+            .collect();
+        counter.reset();
         counts
     }
 
@@ -181,14 +181,83 @@ impl InvertedIndex {
         query_grams: u32,
         threshold: f64,
     ) -> Vec<(u32, f64)> {
-        let mut out: Vec<(u32, f64)> = self
-            .candidates_for_ids(gram_ids)
-            .into_iter()
-            .map(|(id, shared)| (id, self.jaccard_from_overlap(id, query_grams, shared)))
-            .filter(|&(_, sim)| sim >= threshold)
-            .collect();
-        out.sort_unstable_by_key(|a| a.0);
-        out
+        OverlapCounter::new(self)
+            .above(gram_ids, query_grams, threshold)
+            .to_vec()
+    }
+}
+
+/// Reusable per-query scratch for [`InvertedIndex`] queries: a dense
+/// shared-gram count per document plus the list of documents a query
+/// touched, cleared after each query. A loop that issues one query per
+/// document (canopy clustering) allocates it once instead of building a
+/// hash map per query.
+pub(crate) struct OverlapCounter<'a> {
+    index: &'a InvertedIndex,
+    /// Shared-gram count per document; zero outside a query.
+    shared: Vec<u32>,
+    /// Documents with a non-zero count, in first-touch order.
+    touched: Vec<u32>,
+    /// The last query's hits, ascending by document id.
+    hits: Vec<(u32, f64)>,
+}
+
+impl<'a> OverlapCounter<'a> {
+    /// A cleared counter over `index`'s documents.
+    pub(crate) fn new(index: &'a InvertedIndex) -> Self {
+        Self {
+            index,
+            shared: vec![0; index.len()],
+            touched: Vec::new(),
+            hits: Vec::new(),
+        }
+    }
+
+    /// Count the grams each document shares with `gram_ids`.
+    fn count(&mut self, gram_ids: &[u32]) {
+        for &gram in gram_ids {
+            if let Some(docs) = self.index.postings.get(gram as usize) {
+                for &doc in docs {
+                    let shared = &mut self.shared[doc as usize];
+                    if *shared == 0 {
+                        self.touched.push(doc);
+                    }
+                    *shared += 1;
+                }
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        for &doc in &self.touched {
+            self.shared[doc as usize] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// Every document at Jaccard ≥ `threshold` from a query of
+    /// `query_grams` distinct grams (of which `gram_ids` are in the
+    /// vocabulary), ascending by document id. The slice lives until
+    /// the next query.
+    pub(crate) fn above(
+        &mut self,
+        gram_ids: &[u32],
+        query_grams: u32,
+        threshold: f64,
+    ) -> &[(u32, f64)] {
+        self.count(gram_ids);
+        self.hits.clear();
+        for &doc in &self.touched {
+            let sim = self
+                .index
+                .jaccard_from_overlap(doc, query_grams, self.shared[doc as usize]);
+            if sim >= threshold {
+                self.hits.push((doc, sim));
+            }
+        }
+        self.reset();
+        self.hits.sort_unstable_by_key(|hit| hit.0);
+        &self.hits
     }
 }
 
@@ -293,6 +362,83 @@ mod tests {
         let ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(hits[1].1, 1.0, "identical set");
+    }
+
+    /// Random sorted gram-id sets over a small vocabulary (so overlaps
+    /// are common), from a seeded LCG.
+    fn random_sets(seed: u64, count: usize, vocab: u32) -> Vec<Vec<u32>> {
+        let mut rng = seed;
+        let mut next = |bound: u32| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) as u32 % bound
+        };
+        (0..count)
+            .map(|_| {
+                let len = next(12);
+                let mut set: Vec<u32> = (0..len).map(|_| next(vocab)).collect();
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect()
+    }
+
+    /// Jaccard of every document against `query` by set intersection,
+    /// keeping those at or above `threshold`.
+    fn brute_force(sets: &[Vec<u32>], query: &[u32], threshold: f64) -> Vec<(u32, f64)> {
+        sets.iter()
+            .enumerate()
+            .filter_map(|(doc, set)| {
+                let shared = set.iter().filter(|g| query.contains(g)).count() as u32;
+                if shared == 0 {
+                    return None;
+                }
+                let union = query.len() as u32 + set.len() as u32 - shared;
+                let sim = f64::from(shared) / f64::from(union);
+                (sim >= threshold).then_some((doc as u32, sim))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn id_queries_equal_brute_force_jaccard() {
+        let sets = random_sets(0x9E3779B97F4A7C15, 60, 24);
+        let refs: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
+        let idx = InvertedIndex::from_gram_ids(&refs, 24, 3);
+        for query in &sets {
+            // An attainable Jaccard as the threshold: the boundary
+            // document must be kept (`>=`).
+            let attainable = brute_force(&sets, query, 0.0)
+                .get(1)
+                .map_or(0.5, |&(_, sim)| sim);
+            for threshold in [0.35, 0.65, attainable] {
+                assert_eq!(
+                    idx.candidates_above_ids(query, threshold),
+                    brute_force(&sets, query, threshold),
+                    "query {query:?} threshold {threshold}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reused_counter_answers_each_query_as_if_alone() {
+        let sets = random_sets(0xD1B54A32D192ED03, 40, 16);
+        let refs: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
+        let idx = InvertedIndex::from_gram_ids(&refs, 16, 3);
+        let mut shared = OverlapCounter::new(&idx);
+        for pair in sets.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            let _ = shared.above(a, a.len() as u32, 0.35);
+            let after_a = shared.above(b, b.len() as u32, 0.35).to_vec();
+            let alone = OverlapCounter::new(&idx)
+                .above(b, b.len() as u32, 0.35)
+                .to_vec();
+            assert_eq!(after_a, alone, "query {b:?} after {a:?}");
+            assert_eq!(after_a, brute_force(&sets, b, 0.35));
+        }
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //!    distance canopies require;
 //! 2. [`canopy`] — deterministic canopy clustering with loose/tight
 //!    thresholds;
-//! 3. similarity annotation — exact Jaro-Winkler within canopies,
-//!    discretized into the dataset's candidate-pair levels;
+//! 3. similarity annotation — an exact kernel scores every pair within a
+//!    canopy, discretized into the dataset's candidate-pair levels. The
+//!    kernel is configurable ([`SimilarityKernel`]): raw Jaro-Winkler
+//!    (the paper's stated choice and the default), structure-aware
+//!    author-name scoring, or TF-IDF cosine;
 //! 4. [`cover`] — assembling a total [`em_core::Cover`]: canopies +
-//!    singleton residuals + relational boundary expansion;
-//! 5. [`partition`] — connected-component splitting of oversized
-//!    neighborhoods (keeps the cover total while shrinking `k`).
+//!    singleton residuals + relational boundary expansion, with exact
+//!    duplicates dropped;
+//! 5. connected-component splitting of oversized neighborhoods (keeps
+//!    the cover total while shrinking `k`), the last step of [`cover`].
 //!
 //! The one-call entry point is [`pipeline::block_dataset`].
 
@@ -24,7 +28,7 @@
 pub mod canopy;
 pub mod cover;
 pub mod inverted_index;
-pub mod partition;
+mod partition;
 pub mod pipeline;
 
 pub use canopy::{

@@ -10,28 +10,43 @@
 //! (splitting them would lose evidence); callers can tighten canopy
 //! thresholds instead.
 
-use em_core::{Cover, Dataset, EntityId};
+use em_core::{Dataset, EntityId};
 
-/// Split every neighborhood larger than `max_size` into the connected
-/// components of its internal evidence graph.
-pub fn split_oversized(cover: &Cover, dataset: &Dataset, max_size: usize) -> Cover {
-    let mut out: Vec<Vec<EntityId>> = Vec::with_capacity(cover.len());
-    for id in cover.ids() {
-        let members = cover.members(id);
+/// Split every neighborhood (a sorted member list) larger than
+/// `max_size` into the connected components of its internal evidence
+/// graph; smaller ones pass through in place.
+pub(crate) fn split_oversized(
+    neighborhoods: Vec<Vec<EntityId>>,
+    dataset: &Dataset,
+    max_size: usize,
+) -> Vec<Vec<EntityId>> {
+    // Entity → position within the neighborhood being split, shared by
+    // every split and cleared after each.
+    let mut slot: Vec<u32> = Vec::new();
+    let mut out: Vec<Vec<EntityId>> = Vec::with_capacity(neighborhoods.len());
+    for members in neighborhoods {
         if members.len() <= max_size {
-            out.push(members.to_vec());
-            continue;
+            out.push(members);
+        } else {
+            if slot.is_empty() {
+                slot = vec![NOT_A_MEMBER; dataset.entities.len()];
+            }
+            out.extend(components(dataset, &members, &mut slot));
         }
-        out.extend(components(dataset, members));
     }
-    Cover::from_neighborhoods(out)
+    out
 }
+
+const NOT_A_MEMBER: u32 = u32::MAX;
 
 /// Connected components of the evidence graph induced on `members`
 /// (edges: candidate pairs and relation tuples with both endpoints in
-/// `members`).
-fn components(dataset: &Dataset, members: &[EntityId]) -> Vec<Vec<EntityId>> {
-    let index_of = |e: EntityId| members.binary_search(&e).ok();
+/// `members`), each ascending, in ascending order. `slot` is all
+/// [`NOT_A_MEMBER`] on entry and on return.
+fn components(dataset: &Dataset, members: &[EntityId], slot: &mut [u32]) -> Vec<Vec<EntityId>> {
+    for (i, e) in members.iter().enumerate() {
+        slot[e.index()] = i as u32;
+    }
     let n = members.len();
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -41,8 +56,12 @@ fn components(dataset: &Dataset, members: &[EntityId]) -> Vec<Vec<EntityId>> {
         }
         x
     }
-    let union = |parent: &mut Vec<usize>, a: usize, b: usize| {
-        let (ra, rb) = (find(parent, a), find(parent, b));
+    let mut union = |a: usize, other: EntityId| {
+        let b = slot[other.index()];
+        if b == NOT_A_MEMBER {
+            return;
+        }
+        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b as usize));
         if ra != rb {
             parent[ra] = rb;
         }
@@ -50,31 +69,32 @@ fn components(dataset: &Dataset, members: &[EntityId]) -> Vec<Vec<EntityId>> {
 
     for (i, &e) in members.iter().enumerate() {
         for &(other, _) in dataset.sim_neighbors(e) {
-            if let Some(j) = index_of(other) {
-                union(&mut parent, i, j);
-            }
+            union(i, other);
         }
         for rel in dataset.relations.ids() {
             for &other in dataset.relations.neighbors_out(rel, e) {
-                if let Some(j) = index_of(other) {
-                    union(&mut parent, i, j);
-                }
+                union(i, other);
             }
             for &other in dataset.relations.neighbors_in(rel, e) {
-                if let Some(j) = index_of(other) {
-                    union(&mut parent, i, j);
-                }
+                union(i, other);
             }
         }
     }
+    for e in members {
+        slot[e.index()] = NOT_A_MEMBER;
+    }
 
-    let mut by_root: em_core::hash::FxHashMap<usize, Vec<EntityId>> =
-        em_core::hash::FxHashMap::default();
+    // Members are ascending, so each component fills in ascending order.
+    let mut component_of_root: Vec<u32> = vec![NOT_A_MEMBER; n];
+    let mut comps: Vec<Vec<EntityId>> = Vec::new();
     for (i, &member) in members.iter().enumerate() {
         let root = find(&mut parent, i);
-        by_root.entry(root).or_default().push(member);
+        if component_of_root[root] == NOT_A_MEMBER {
+            component_of_root[root] = comps.len() as u32;
+            comps.push(Vec::new());
+        }
+        comps[component_of_root[root] as usize].push(member);
     }
-    let mut comps: Vec<Vec<EntityId>> = by_root.into_values().collect();
     comps.sort_unstable();
     comps
 }
@@ -83,7 +103,7 @@ fn components(dataset: &Dataset, members: &[EntityId]) -> Vec<Vec<EntityId>> {
 mod tests {
     use super::*;
     use em_core::dataset::SimLevel;
-    use em_core::Pair;
+    use em_core::{Cover, Pair};
 
     fn e(id: u32) -> EntityId {
         EntityId(id)
@@ -107,30 +127,28 @@ mod tests {
     #[test]
     fn oversized_neighborhood_splits_into_components() {
         let ds = dataset();
-        let big = Cover::from_neighborhoods(vec![vec![e(0), e(1), e(2), e(3), e(4), e(5)]]);
-        let split = split_oversized(&big, &ds, 4);
+        let big = vec![vec![e(0), e(1), e(2), e(3), e(4), e(5)]];
+        let split = split_oversized(big, &ds, 4);
         assert_eq!(split.len(), 3);
-        assert!(split.validate_total(&ds).is_ok());
-        let sizes: Vec<usize> = split.ids().map(|id| split.members(id).len()).collect();
+        let sizes: Vec<usize> = split.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 2, 1]);
+        assert!(Cover::from_neighborhoods(split).validate_total(&ds).is_ok());
     }
 
     #[test]
     fn small_neighborhoods_pass_through() {
         let ds = dataset();
-        let cover = Cover::from_neighborhoods(vec![vec![e(0), e(1)], vec![e(3), e(4)]]);
-        let split = split_oversized(&cover, &ds, 10);
-        assert_eq!(split.len(), 2);
-        assert_eq!(split.members(em_core::NeighborhoodId(0)), &[e(0), e(1)]);
+        let small = vec![vec![e(0), e(1)], vec![e(3), e(4)]];
+        let split = split_oversized(small.clone(), &ds, 10);
+        assert_eq!(split, small);
     }
 
     #[test]
     fn connected_component_larger_than_cap_is_kept() {
         let ds = dataset();
-        let big = Cover::from_neighborhoods(vec![vec![e(0), e(1), e(2)]]);
+        let big = vec![vec![e(0), e(1), e(2)]];
         // Cap of 1 cannot be honored without losing tuples; keep intact.
-        let split = split_oversized(&big, &ds, 1);
-        assert_eq!(split.len(), 1);
-        assert_eq!(split.members(em_core::NeighborhoodId(0)).len(), 3);
+        let split = split_oversized(big.clone(), &ds, 1);
+        assert_eq!(split, big);
     }
 }

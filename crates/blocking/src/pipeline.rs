@@ -10,8 +10,7 @@
 //! [`BlockingConfig::dedupe_pair_scores`] for ablations).
 
 use crate::canopy::{canopies_cached, canopies_cached_incremental, CanopyMemo, CanopyParams};
-use crate::cover::{cover_from_canopies, dedupe_exact};
-use crate::partition::split_oversized;
+use crate::cover::cover_from_canopies;
 use em_core::hash::{FxHashMap, FxHashSet};
 use em_core::{Cover, Dataset, EntityId, Pair, PairCache, Result, SimLevel};
 use em_similarity::discretize::Discretizer;
@@ -116,9 +115,11 @@ pub struct BlockingOutput {
 /// 1. collect `(entity, key)` points of `entity_type`;
 /// 2. canopy-cluster them with the cheap n-gram similarity;
 /// 3. annotate candidate pairs: for every within-canopy pair, compute
-///    exact Jaro-Winkler on the keys and record the discretized level in
-///    the dataset (`similar(e1, e2, level)`);
-/// 4. assemble a total cover (canopies + singleton residuals + boundary).
+///    the configured exact kernel ([`BlockingConfig::kernel`]) on the
+///    cached features and record the discretized level in the dataset
+///    (`similar(e1, e2, level)`);
+/// 4. assemble a total cover (canopies + singleton residuals + boundary,
+///    deduplicated, oversized neighborhoods split).
 ///
 /// Returns an error only if the constructed cover fails validation
 /// (which would indicate a bug — the construction is total by design and
@@ -262,16 +263,17 @@ fn annotate_and_cover(
         }
     }
 
-    let mut cover = cover_from_canopies(dataset, canopy_sets.clone(), config.boundary_hops);
-    cover = dedupe_exact(&cover);
-    if let Some(max) = config.max_neighborhood_size {
-        cover = split_oversized(&cover, dataset, max);
-        cover = dedupe_exact(&cover);
-    }
+    let canopies = canopy_sets.len();
+    let cover = cover_from_canopies(
+        dataset,
+        canopy_sets,
+        config.boundary_hops,
+        config.max_neighborhood_size,
+    );
     cover.validate_total(dataset)?;
     Ok(BlockingOutput {
         cover,
-        canopies: canopy_sets.len(),
+        canopies,
         candidate_pairs,
         pair_scores_reused,
         pairs_scored,

@@ -7,7 +7,7 @@
 //! fully contained in at least one neighborhood; tuples crossing all
 //! neighborhood boundaries would otherwise be invisible to every matcher
 //! run ("lost"). Any cover can be made total by expanding each neighborhood
-//! with its relational *boundary*; [`Cover::expand_to_total`] implements
+//! with its relational *boundary*; [`expand_to_total`] implements
 //! exactly that construction.
 //!
 //! The cover also maintains the entity → neighborhoods index that the
@@ -17,7 +17,6 @@
 use crate::dataset::Dataset;
 use crate::entity::EntityId;
 use crate::error::{Error, Result};
-use crate::hash::FxHashSet;
 use crate::pair::Pair;
 use std::fmt;
 
@@ -125,22 +124,30 @@ impl Cover {
     /// neighborhoods for which the pair can serve as evidence. Computed as
     /// a sorted-list intersection of the two endpoint indexes.
     pub fn containing_pair(&self, pair: Pair) -> Vec<NeighborhoodId> {
+        self.pair_neighborhoods(pair).collect()
+    }
+
+    /// The sorted-list intersection behind [`Self::containing_pair`],
+    /// lazily: [`Self::validate_total`] stops at the first hit.
+    fn pair_neighborhoods(&self, pair: Pair) -> impl Iterator<Item = NeighborhoodId> + '_ {
         let a = self.containing_entity(pair.lo());
         let b = self.containing_entity(pair.hi());
-        let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
+        std::iter::from_fn(move || {
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        let shared = a[i];
+                        i += 1;
+                        j += 1;
+                        return Some(shared);
+                    }
                 }
             }
-        }
-        out
+            None
+        })
     }
 
     /// A [`crate::dataset::View`] of neighborhood `id` over `dataset`.
@@ -180,7 +187,7 @@ impl Cover {
         self.validate_cover(dataset)?;
         for rel in dataset.relations.ids() {
             for &(a, b) in dataset.relations.tuples(rel) {
-                if a != b && self.containing_pair(Pair::new(a, b)).is_empty() {
+                if a != b && self.pair_neighborhoods(Pair::new(a, b)).next().is_none() {
                     return Err(Error::NotTotal {
                         relation: dataset.relations.name(rel).to_owned(),
                         a,
@@ -190,7 +197,7 @@ impl Cover {
             }
         }
         for (pair, _) in dataset.candidate_pairs() {
-            if self.containing_pair(pair).is_empty() {
+            if self.pair_neighborhoods(pair).next().is_none() {
                 return Err(Error::NotTotal {
                     relation: "similar".to_owned(),
                     a: pair.lo(),
@@ -199,42 +206,6 @@ impl Cover {
             }
         }
         Ok(())
-    }
-
-    /// Expand every neighborhood with its relational boundary — the
-    /// entities sharing a relation tuple with a member (§4: the cover is
-    /// built "by first constructing a total cover over Similar … and then
-    /// taking the boundary of each neighborhood with respect to *other*
-    /// relations"). Candidate pairs are expected to already be contained
-    /// in the input neighborhoods (canopies generate them within
-    /// themselves), so similarity adjacency is deliberately *not*
-    /// expanded — doing so would chain overlapping canopies back into
-    /// giant neighborhoods.
-    ///
-    /// `hops` controls how many boundary expansions are applied; the
-    /// paper's construction is one hop.
-    pub fn expand_to_total(&self, dataset: &Dataset, hops: usize) -> Cover {
-        let mut neighborhoods = self.neighborhoods.clone();
-        for _ in 0..hops {
-            for members in &mut neighborhoods {
-                let mut set: FxHashSet<EntityId> = members.iter().copied().collect();
-                let snapshot: Vec<EntityId> = members.clone();
-                for &e in &snapshot {
-                    for rel in dataset.relations.ids() {
-                        for &f in dataset.relations.neighbors_out(rel, e) {
-                            set.insert(f);
-                        }
-                        for &f in dataset.relations.neighbors_in(rel, e) {
-                            set.insert(f);
-                        }
-                    }
-                }
-                let mut expanded: Vec<EntityId> = set.into_iter().collect();
-                expanded.sort_unstable();
-                *members = expanded;
-            }
-        }
-        Cover::from_neighborhoods(neighborhoods)
     }
 
     /// Summary statistics of the cover, for reports.
@@ -255,6 +226,59 @@ impl Cover {
             },
             total_candidate_pairs: total_pairs,
         }
+    }
+}
+
+/// Expand every neighborhood with its relational boundary — the
+/// entities sharing a relation tuple with a member (§4: the cover is
+/// built "by first constructing a total cover over Similar … and then
+/// taking the boundary of each neighborhood with respect to *other*
+/// relations"). Candidate pairs are expected to already be contained in
+/// the input neighborhoods (canopies generate them within themselves),
+/// so similarity adjacency is deliberately *not* expanded — doing so
+/// would chain overlapping canopies back into giant neighborhoods.
+///
+/// `hops` controls how many boundary expansions are applied; the
+/// paper's construction is one hop. Works on plain member lists so a
+/// caller can keep reshaping them (deduplicating, splitting) before
+/// building the [`Cover`] index once; every list comes back sorted and
+/// deduplicated. Membership is marked in one stamp array shared by all
+/// neighborhoods, so no per-neighborhood set is built.
+pub fn expand_to_total(dataset: &Dataset, neighborhoods: &mut [Vec<EntityId>], hops: usize) {
+    let universe = neighborhoods
+        .iter()
+        .flatten()
+        .map(|e| e.index() + 1)
+        .max()
+        .unwrap_or(0)
+        .max(dataset.entities.len());
+    let mut stamp: Vec<u32> = vec![0; universe];
+    for (tick, members) in (1u32..).zip(neighborhoods.iter_mut()) {
+        for e in members.iter() {
+            stamp[e.index()] = tick;
+        }
+        // Each hop expands only the entities the previous hop added:
+        // the older members' neighbors are already in.
+        let mut frontier = 0;
+        for _ in 0..hops {
+            let end = members.len();
+            for k in frontier..end {
+                let e = members[k];
+                for rel in dataset.relations.ids() {
+                    let outgoing = dataset.relations.neighbors_out(rel, e);
+                    let incoming = dataset.relations.neighbors_in(rel, e);
+                    for &f in outgoing.iter().chain(incoming) {
+                        if stamp[f.index()] != tick {
+                            stamp[f.index()] = tick;
+                            members.push(f);
+                        }
+                    }
+                }
+            }
+            frontier = end;
+        }
+        members.sort_unstable();
+        members.dedup();
     }
 }
 
@@ -354,6 +378,45 @@ mod tests {
     }
 
     #[test]
+    fn validate_total_detects_a_split_candidate_pair() {
+        let ds = dataset();
+        // Every coauthor edge is inside some neighborhood, but the
+        // candidate pair (c1, c2) = (e4, e5) is not.
+        let cover = Cover::from_neighborhoods(vec![
+            vec![e(0), e(1), e(2), e(3)],
+            vec![e(2), e(4)],
+            vec![e(3), e(5)],
+        ]);
+        assert!(matches!(
+            cover.validate_total(&ds),
+            Err(Error::NotTotal { relation, a, b })
+                if relation == "similar" && a == e(4) && b == e(5)
+        ));
+    }
+
+    #[test]
+    fn validate_total_detects_a_lost_symmetric_tuple() {
+        let mut ds = dataset();
+        // Added in the reverse orientation; its endpoints share no
+        // neighborhood while every other tuple and pair is covered.
+        let venue = ds.relations.declare("same_venue", true);
+        ds.relations.add_tuple(venue, e(5), e(0));
+        let cover = Cover::from_neighborhoods(vec![
+            vec![e(0), e(1), e(2), e(3)],
+            vec![e(2), e(3), e(4), e(5)],
+        ]);
+        assert!(matches!(
+            cover.validate_total(&ds),
+            Err(Error::NotTotal { relation, .. }) if relation == "same_venue"
+        ));
+        let total = Cover::from_neighborhoods(vec![
+            vec![e(0), e(1), e(2), e(3), e(5)],
+            vec![e(2), e(3), e(4), e(5)],
+        ]);
+        assert!(total.validate_total(&ds).is_ok());
+    }
+
+    #[test]
     fn boundary_expansion_yields_total_cover() {
         let ds = dataset();
         // Canopy-style cover over Similar only: each similar pair is one
@@ -361,10 +424,26 @@ mod tests {
         let canopies =
             Cover::from_neighborhoods(vec![vec![e(0), e(1)], vec![e(2), e(3)], vec![e(4), e(5)]]);
         assert!(canopies.validate_total(&ds).is_err());
-        let total = canopies.expand_to_total(&ds, 1);
+        let mut neighborhoods = vec![vec![e(0), e(1)], vec![e(2), e(3)], vec![e(4), e(5)]];
+        expand_to_total(&ds, &mut neighborhoods, 1);
+        let total = Cover::from_neighborhoods(neighborhoods);
         assert!(total.validate_total(&ds).is_ok());
         // Neighborhood 0 (a1, a2) gains coauthor boundary b1, b2.
         assert_eq!(total.members(NeighborhoodId(0)), &[e(0), e(1), e(2), e(3)]);
+    }
+
+    #[test]
+    fn each_hop_adds_the_next_boundary() {
+        let ds = dataset();
+        // Chain a1 - b1 - c1 (e0 - e2 - e4); unsorted, duplicated input.
+        let mut neighborhoods = vec![vec![e(2), e(0), e(0)], vec![e(5)]];
+        expand_to_total(&ds, &mut neighborhoods, 0);
+        assert_eq!(neighborhoods, vec![vec![e(0), e(2)], vec![e(5)]]);
+        expand_to_total(&ds, &mut neighborhoods, 2);
+        assert_eq!(
+            neighborhoods,
+            vec![vec![e(0), e(2), e(4)], vec![e(1), e(3), e(5)]]
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! enumeration, and well-behavedness of the MLN matcher, on random
 //! supermodular instances.
 
-use em_core::cover::Cover;
+use em_core::cover::{expand_to_total, Cover};
 use em_core::dataset::{Dataset, SimLevel};
 use em_core::entity::EntityId;
 use em_core::evidence::Evidence;
@@ -112,8 +112,8 @@ fn build(instance: &RandomInstance) -> (Dataset, MlnModel) {
     (ds, model)
 }
 
-/// Cover by overlapping windows of 4 entities.
-fn window_cover(n: u32) -> Cover {
+/// Overlapping windows of 4 entities.
+fn windows(n: u32) -> Vec<Vec<EntityId>> {
     let mut nbhds: Vec<Vec<EntityId>> = Vec::new();
     let mut start = 0;
     while start < n {
@@ -125,7 +125,12 @@ fn window_cover(n: u32) -> Cover {
         start += 2; // 2-entity overlap
     }
     nbhds.push((0..n).step_by(3).map(EntityId).collect()); // extra overlap
-    Cover::from_neighborhoods(nbhds)
+    nbhds
+}
+
+/// Cover by overlapping windows of 4 entities.
+fn window_cover(n: u32) -> Cover {
+    Cover::from_neighborhoods(windows(n))
 }
 
 proptest! {
@@ -201,7 +206,9 @@ proptest! {
         // messages cover every correlated cluster).
         let (ds, model) = build(&instance);
         let matcher = MlnMatcher::new(model);
-        let cover = window_cover(instance.n).expand_to_total(&ds, 1);
+        let mut nbhds = windows(instance.n);
+        expand_to_total(&ds, &mut nbhds, 1);
+        let cover = Cover::from_neighborhoods(nbhds);
         prop_assume!(cover.validate_total(&ds).is_ok());
         prop_assume!(cover.max_size() < instance.n as usize); // genuine split
         let full = matcher.match_view(&ds.full_view(), &Evidence::none());

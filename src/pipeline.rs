@@ -551,20 +551,16 @@ impl Pipeline {
                 // knowledge: churn re-blocks must never purge them (a
                 // cold run over the same dataset would see them too).
                 protected_links = dataset.candidate_pairs().collect();
-                let built;
-                let shared = match &features {
+                let features = match features {
                     Some(f) if f.config().ngram == blocking.canopy.ngram => f,
-                    _ => {
-                        built = FeatureCache::build(
-                            &dataset,
-                            &blocking.entity_type,
-                            &blocking.key_attr,
-                            FeatureConfig {
-                                ngram: blocking.canopy.ngram,
-                            },
-                        );
-                        &built
-                    }
+                    _ => FeatureCache::build(
+                        &dataset,
+                        &blocking.entity_type,
+                        &blocking.key_attr,
+                        FeatureConfig {
+                            ngram: blocking.canopy.ngram,
+                        },
+                    ),
                 };
                 // Seed the canopy memo on the way in, so the session's
                 // first `update` already replays untouched canopies.
@@ -572,7 +568,7 @@ impl Pipeline {
                     block_dataset_churn(
                         &mut dataset,
                         &blocking,
-                        shared,
+                        &features,
                         &scores,
                         &mut canopy_memo,
                         &[],
@@ -582,10 +578,9 @@ impl Pipeline {
                     .expect("blocking pipeline produces a valid total cover")
                     .output
                 } else {
-                    block_dataset_session(&mut dataset, &blocking, Some(shared), Some(&scores))
+                    block_dataset_session(&mut dataset, &blocking, Some(&features), Some(&scores))
                         .expect("blocking pipeline produces a valid total cover")
                 };
-                let features = shared.clone();
                 (out.cover, Some(features), true)
             }
         };
