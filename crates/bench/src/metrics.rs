@@ -119,6 +119,7 @@ impl MetricsRecord {
             .push_u64("components_invalidated", stats.components_invalidated)
             .push_u64("messages_dropped", stats.messages_dropped)
             .push_u64("memos_dropped", stats.memos_dropped)
+            .push_u64("memos_retired", stats.memos_retired)
             .push_u64("pairs_reblocked", stats.pairs_reblocked)
             .push_u64("shard_panics", stats.shard_panics)
             .push_u64("fence_timeouts", stats.fence_timeouts)
@@ -338,6 +339,7 @@ mod tests {
             conditioned_probes: 5,
             shard_panics: 1,
             invariant_checks: 9,
+            memos_retired: 2,
             ..RunStats::default()
         };
         let line = MetricsRecord::from_run_stats("soak-sharded", 3, &stats).render();
@@ -347,6 +349,7 @@ mod tests {
         assert!(line.contains("\"matcher_calls\": 12"));
         assert!(line.contains("\"shard_panics\": 1"));
         assert!(line.contains("\"invariant_checks\": 9"));
+        assert!(line.contains("\"memos_retired\": 2"));
         assert!(line.ends_with('}'));
         // Stable order: label before step before the counters.
         let label = line.find("\"label\"").unwrap();

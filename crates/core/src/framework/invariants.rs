@@ -18,9 +18,12 @@
 //! first.
 
 use crate::cache::PairCache;
+use crate::cover::Cover;
 use crate::dataset::Dataset;
+use crate::entity::EntityId;
 use crate::evidence::Evidence;
-use crate::framework::{MemoBank, MessageStore, RunStats};
+use crate::framework::{CertificateBank, MemoBank, MessageStore, RunStats};
+use crate::hash::FxHashSet;
 use crate::pair::Pair;
 
 /// One failed invariant: which check tripped and a human-readable
@@ -214,6 +217,36 @@ impl<'a> InvariantChecker<'a> {
         }
     }
 
+    /// Bank bound: every banked memo and certificate entry is keyed by
+    /// the member list of a view of `cover`, so the carried warm state
+    /// holds at most one entry per neighborhood of the live cover.
+    /// Holds right after a run — its withdrawal retired every entry no
+    /// view claimed, and it banked only its own cover's views — but not
+    /// between an update and the next run, when re-keyed entries still
+    /// carry pre-re-block identities.
+    pub fn check_bank_bound(&mut self, cover: &Cover, bank: &MemoBank, certs: &CertificateBank) {
+        self.report.checks += 1;
+        let views: FxHashSet<&[EntityId]> = cover.ids().map(|id| cover.members(id)).collect();
+        let mut stray: Vec<String> = Vec::new();
+        bank.for_each_view(|members, _| {
+            if !views.contains(members) {
+                stray.push(format!(
+                    "banked memo of {members:?} matches no view of the cover"
+                ));
+            }
+        });
+        certs.for_each_entry(|members, _| {
+            if !views.contains(members) {
+                stray.push(format!(
+                    "banked certificates of {members:?} match no view of the cover"
+                ));
+            }
+        });
+        for detail in stray {
+            self.fail("bank-bound", detail);
+        }
+    }
+
     /// Tombstone consistency of a pair-keyed cache (e.g. the session's
     /// blocking-score cache). `label` names the cache in violations.
     pub fn check_pair_cache<V: Copy>(&mut self, label: &str, cache: &PairCache<V>) {
@@ -303,7 +336,7 @@ impl<'a> InvariantChecker<'a> {
 mod tests {
     use super::*;
     use crate::dataset::SimLevel;
-    use crate::entity::EntityId;
+    use crate::framework::{CertificateSet, ProbeMemo};
     use crate::pair::PairSet;
 
     fn p(a: u32, b: u32) -> Pair {
@@ -447,5 +480,44 @@ mod tests {
         let report = checker.finish();
         assert_eq!(report.violations.len(), 1);
         assert!(report.violations[0].detail.contains("scores"));
+    }
+
+    #[test]
+    fn bank_bound_flags_entries_no_view_claims() {
+        let ds = small_world();
+        let cover = Cover::from_neighborhoods(vec![
+            vec![EntityId(0), EntityId(1)],
+            vec![EntityId(2), EntityId(3)],
+        ]);
+        let mut bank = MemoBank::new();
+        let mut certs = CertificateBank::new();
+        let mut set = CertificateSet::new();
+        set.record(p(0, 1), crate::matcher::Score::from_weight(1.0));
+        for id in cover.ids() {
+            bank.deposit(&cover.view(&ds, id), ProbeMemo::new());
+        }
+        certs.deposit(&cover.view(&ds, cover.ids().next().unwrap()), set.clone());
+        let mut checker = InvariantChecker::new(&ds);
+        checker.check_bank_bound(&cover, &bank, &certs);
+        let report = checker.finish();
+        assert!(report.is_ok(), "{:?}", report.violations);
+        assert_eq!(report.checks, 1);
+
+        // A memo and a certificate left under a view the cover no
+        // longer has.
+        bank.insert_raw(
+            vec![EntityId(1), EntityId(2)],
+            Vec::new(),
+            ProbeMemo::new(),
+            true,
+        );
+        certs.insert_raw(vec![EntityId(0), EntityId(3)], set);
+        let mut checker = InvariantChecker::new(&ds);
+        checker.check_bank_bound(&cover, &bank, &certs);
+        let report = checker.finish();
+        assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+        assert!(report.violations.iter().all(|v| v.check == "bank-bound"));
+        assert!(report.violations[0].detail.contains("banked memo"));
+        assert!(report.violations[1].detail.contains("banked certificates"));
     }
 }

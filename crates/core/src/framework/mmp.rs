@@ -219,28 +219,28 @@ impl MessageStore {
         Some(members)
     }
 
-    /// Keep only the messages whose member slice satisfies `keep`,
+    /// Drop every message that holds one of `pairs`, in place,
     /// returning the number of messages dropped.
     ///
-    /// A union-find cannot un-merge, so the store is **rebuilt from the
-    /// retained messages**: surviving messages are re-added (in
-    /// deterministic root order) to a fresh store, which reconstructs
-    /// the parent forest and re-establishes the `(T ∪ TC)*` closure over
-    /// exactly the retained set. This is the message-store half of
-    /// component-scoped rollback — messages touching an invalidated
-    /// ground component are dropped, everything else survives verbatim.
-    pub fn retain_messages(&mut self, mut keep: impl FnMut(&[Pair]) -> bool) -> usize {
-        let mut rebuilt = MessageStore::new();
+    /// This is the message-store half of component-scoped rollback:
+    /// messages touching an invalidated ground component are dropped,
+    /// everything else survives verbatim. A union-find cannot un-merge,
+    /// but it need not: each message is one whole tree of the parent
+    /// forest, so dropping it means finding its root ([`Self::root_of`])
+    /// and removing its member list and every member's parent entry
+    /// ([`Self::remove_message`]). The cost is O(|`pairs`| + members
+    /// dropped), not O(store). Surviving messages are not touched:
+    /// they keep their root, member order and parent chains, and stay
+    /// closed under union-of-overlapping-messages (dropping whole
+    /// messages cannot make two survivors overlap).
+    pub fn drop_messages_touching(&mut self, pairs: impl IntoIterator<Item = Pair>) -> usize {
         let mut dropped = 0usize;
-        for root in self.roots() {
-            let members = self.members.get(&root).expect("root has members");
-            if keep(members) {
-                rebuilt.add_message(members);
-            } else {
+        for pair in pairs {
+            if let Some(root) = self.find(pair) {
+                self.remove_message(root);
                 dropped += 1;
             }
         }
-        *self = rebuilt;
         dropped
     }
 
@@ -551,8 +551,13 @@ impl WarmStart {
         Self::default()
     }
 
-    /// Withdraw the banked memos and certificates for the neighborhoods
-    /// `ids` of `cover` and sort each view three ways:
+    /// Withdraw the banked memos and certificates for a whole `cover`,
+    /// partitioned into `groups` of neighborhood ids (one group for a
+    /// sequential driver, one per shard for a sharded run), and return
+    /// one [`WarmSeed`] per group plus the number of memo entries
+    /// retired unclaimed ([`super::RunStats::memos_retired`]).
+    ///
+    /// Each view is sorted three ways:
     ///
     /// * **identical** — quiescent at the previous fixpoint and its
     ///   messages are in the carried store: seed its memo and skip it.
@@ -565,32 +570,50 @@ impl WarmStart {
     /// * **miss** — re-evaluate cold.
     ///
     /// Certificates are withdrawn only where the memo withdrawal
-    /// succeeds (the certificate bank's key discipline). The store is not
-    /// touched: a sequential driver adopts it with
-    /// [`super::MmpDriver::warm_store`], a sharded coordinator owns it.
-    pub fn withdraw(
+    /// succeeds (the certificate bank's key discipline). Every memo and
+    /// certificate entry that no view of `cover` claimed is then
+    /// **retired**: a re-block reshuffled its view away, so it would
+    /// never seed a driver, yet every later update would re-key, taint
+    /// and checkpoint it. After this call both banks are empty; the
+    /// run's final banking refills them with at most one entry per
+    /// neighborhood. The store is not touched: a sequential driver
+    /// adopts it with [`super::MmpDriver::warm_store`], a sharded
+    /// coordinator owns it.
+    pub fn withdraw<G>(
         &mut self,
         dataset: &Dataset,
         cover: &Cover,
-        ids: impl IntoIterator<Item = NeighborhoodId>,
-    ) -> WarmSeed {
-        let mut seed = WarmSeed::default();
-        for id in ids {
-            let view = cover.view(dataset, id);
-            match self.bank.withdraw_grown(&view, self.entity_floor) {
-                Some((memo, identical)) => {
-                    seed.memos.push((id, memo));
-                    if let Some(set) = self.certs.withdraw_grown(&view, self.entity_floor) {
-                        seed.certs.push((id, set));
-                    }
-                    if !identical {
-                        seed.active.push(id);
+        groups: impl IntoIterator<Item = G>,
+    ) -> (Vec<WarmSeed>, u64)
+    where
+        G: IntoIterator<Item = NeighborhoodId>,
+    {
+        let seeds = groups
+            .into_iter()
+            .map(|ids| {
+                let mut seed = WarmSeed::default();
+                for id in ids {
+                    let view = cover.view(dataset, id);
+                    match self.bank.withdraw_grown(&view, self.entity_floor) {
+                        Some((memo, identical)) => {
+                            seed.memos.push((id, memo));
+                            if let Some(set) = self.certs.withdraw_grown(&view, self.entity_floor) {
+                                seed.certs.push((id, set));
+                            }
+                            if !identical {
+                                seed.active.push(id);
+                            }
+                        }
+                        None => seed.active.push(id),
                     }
                 }
-                None => seed.active.push(id),
-            }
-        }
-        seed
+                seed
+            })
+            .collect();
+        let retired = self.bank.len() as u64;
+        self.bank = MemoBank::new();
+        self.certs = CertificateBank::new();
+        (seeds, retired)
     }
 }
 
@@ -626,8 +649,17 @@ pub struct WarmSeed {
 /// Under those conditions the first visit's evidence delta is empty and
 /// the undecided set unchanged, so [`compute_maximal_incremental`]
 /// replays every probe and re-probes only what later routed deltas
-/// touch. Views that changed in any way miss the bank and re-probe from
-/// scratch — stale entries are dropped, never replayed.
+/// touch. Views that grew match their predecessor through
+/// [`MemoBank::withdraw_grown`]'s entity floor; views that shrank or
+/// lost candidate links are re-keyed under their surviving identity by
+/// [`MemoBank::rekey_churned`]; any other change misses the bank and
+/// re-probes from scratch — stale entries are dropped, never replayed.
+///
+/// The bank is bounded by the live cover: [`WarmStart::withdraw`]
+/// claims entries for every view of the run's cover and **retires
+/// every entry no view claimed** (a re-block reshuffled its view away),
+/// so between runs the bank holds at most one entry per neighborhood
+/// of the last run's cover (updates only re-key or drop entries).
 #[derive(Debug, Default, Clone)]
 pub struct MemoBank {
     entries: FxHashMap<Vec<crate::entity::EntityId>, BankEntry>,
@@ -687,8 +719,11 @@ impl MemoBank {
     }
 
     /// Take the memo banked for `view`, if its identity still matches.
-    /// The entry is removed either way — a stale entry can never match
-    /// again (views only change by growing), so it is dropped.
+    /// The entry under `view`'s member key is removed either way: a
+    /// mismatched entry belongs to a view whose candidate pairs changed
+    /// under the same members, and a changed view re-probes from
+    /// scratch. Entries under keys no view asks for are not touched
+    /// here; a session retires them in [`WarmStart::withdraw`].
     pub fn withdraw(&mut self, view: &View<'_>) -> Option<ProbeMemo> {
         let entry = self.entries.remove(view.members())?;
         let mut pairs = view.candidate_pairs();
@@ -1677,14 +1712,14 @@ mod tests {
     }
 
     #[test]
-    fn retain_messages_rebuilds_the_union_find_from_survivors() {
+    fn drop_messages_touching_removes_whole_messages_in_place() {
         let mut store = MessageStore::new();
         store.add_message(&[p(0, 1), p(2, 3)]);
         store.add_message(&[p(4, 5), p(6, 7)]);
         store.add_message(&[p(8, 9)]);
         assert_eq!(store.len(), 3);
         // Drop the message holding (4,5); the others survive verbatim.
-        let dropped = store.retain_messages(|m| !m.contains(&p(4, 5)));
+        let dropped = store.drop_messages_touching([p(4, 5)]);
         assert_eq!(dropped, 1);
         assert_eq!(store.len(), 2);
         assert!(store.root_of(p(4, 5)).is_none(), "fully retired");
@@ -1693,14 +1728,20 @@ mod tests {
         let mut members = store.message(surviving).unwrap().to_vec();
         members.sort_unstable();
         assert_eq!(members, vec![p(0, 1), p(2, 3)]);
-        // The rebuilt forest still merges correctly.
+        assert_eq!(store.validate(), Ok(3));
+        // The pruned forest still merges correctly.
         store.add_message(&[p(2, 3), p(8, 9)]);
         assert_eq!(store.len(), 1);
         assert_eq!(store.message(store.roots()[0]).unwrap().len(), 3);
-        // Retaining everything is a no-op; dropping everything empties.
-        assert_eq!(store.retain_messages(|_| true), 0);
-        assert_eq!(store.retain_messages(|_| false), 1);
+        // Touching nothing (or only uncovered pairs) is a no-op; touching
+        // every pair empties the store, each message counted once.
+        assert_eq!(store.drop_messages_touching([]), 0);
+        assert_eq!(store.drop_messages_touching([p(4, 5), p(20, 21)]), 0);
+        assert_eq!(store.len(), 1);
+        let all: Vec<Pair> = store.all_pairs().collect();
+        assert_eq!(store.drop_messages_touching(all), 1);
         assert!(store.is_empty());
+        assert_eq!(store.validate(), Ok(0));
     }
 
     /// Each message's members, sorted, in sorted order.
@@ -1752,7 +1793,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_messages_rebuilds_the_same_forest_after_subsumed_adds() {
+    fn drop_messages_touching_keeps_the_forest_after_subsumed_adds() {
         let mut store = MessageStore::new();
         store.add_message(&[p(0, 1), p(2, 3)]);
         store.add_message(&[p(4, 5)]);
@@ -1762,14 +1803,57 @@ mod tests {
         store.add_message(&[p(8, 9), p(10, 11)]);
         let before = message_sets(&store);
         let roots = store.roots();
-        assert_eq!(store.retain_messages(|_| true), 0);
+        assert_eq!(store.drop_messages_touching([p(12, 13)]), 0);
         assert_eq!(message_sets(&store), before);
-        assert_eq!(store.roots(), roots, "re-added in root order");
+        assert_eq!(store.roots(), roots, "roots untouched");
         assert_eq!(store.validate(), Ok(6));
-        // The rebuilt forest keeps the add contract.
+        // The untouched forest keeps the add contract.
         assert_eq!(store.add_message(&[p(6, 7)]), None);
         assert!(store.add_message(&[p(6, 7), p(8, 9)]).is_some());
         assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn dropping_a_merged_message_leaves_survivors_unchanged() {
+        let mut store = MessageStore::new();
+        // A message built from three merges, and two bystanders (one
+        // merged too, one a singleton).
+        store.add_message(&[p(0, 1), p(2, 3)]);
+        store.add_message(&[p(4, 5), p(6, 7)]);
+        store.add_message(&[p(2, 3), p(4, 5)]);
+        store.add_message(&[p(8, 9)]);
+        store.add_message(&[p(10, 11), p(12, 13)]);
+        store.add_message(&[p(14, 15), p(12, 13)]);
+        store.add_message(&[p(16, 17)]);
+        // Compress some chains so the forest is not freshly built.
+        for pair in [p(6, 7), p(14, 15), p(8, 9)] {
+            store.root_of(pair);
+        }
+        let doomed = store.root_of(p(4, 5)).unwrap();
+        let survivors: Vec<(Pair, Vec<Pair>)> = store
+            .roots()
+            .into_iter()
+            .filter(|&r| r != doomed)
+            .map(|r| (r, store.message(r).unwrap().to_vec()))
+            .collect();
+        assert_eq!(survivors.len(), 3);
+        // Two pairs of the same message: dropped once.
+        assert_eq!(store.drop_messages_touching([p(6, 7), p(0, 1)]), 1);
+        assert_eq!(store.validate(), Ok(5));
+        let after: Vec<(Pair, Vec<Pair>)> = store
+            .roots()
+            .into_iter()
+            .map(|r| (r, store.message(r).unwrap().to_vec()))
+            .collect();
+        assert_eq!(after, survivors, "same roots, same member order");
+        for pair in [p(0, 1), p(2, 3), p(4, 5), p(6, 7)] {
+            assert_eq!(store.root_of(pair), None, "{pair} left with its message");
+        }
+        for (root, members) in &survivors {
+            for &m in members {
+                assert_eq!(store.root_of(m), Some(*root));
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,11 @@ pub struct RunStats {
     pub messages_dropped: u64,
     /// Banked probe memos dropped by that rollback.
     pub memos_dropped: u64,
+    /// Banked probe memos retired unclaimed when this run withdrew its
+    /// warm start: no view of the run's cover claimed them, because a
+    /// re-block since the previous run reshuffled their view away
+    /// (`WarmStart::withdraw`). 0 for cold runs.
+    pub memos_retired: u64,
     /// Candidate pairs whose similarity the delta re-block re-scored
     /// (new pairs plus pairs whose canopy changed).
     pub pairs_reblocked: u64,
@@ -152,6 +157,7 @@ impl RunStats {
         self.components_invalidated += other.components_invalidated;
         self.messages_dropped += other.messages_dropped;
         self.memos_dropped += other.memos_dropped;
+        self.memos_retired += other.memos_retired;
         self.pairs_reblocked += other.pairs_reblocked;
         self.shard_panics += other.shard_panics;
         self.fence_timeouts += other.fence_timeouts;
@@ -218,6 +224,9 @@ impl std::fmt::Display for RunStats {
         }
         if self.memo_evictions > 0 {
             write!(f, " | {} memo evictions", self.memo_evictions)?;
+        }
+        if self.memos_retired > 0 {
+            write!(f, " | {} memos retired", self.memos_retired)?;
         }
         if self.components_invalidated > 0
             || self.messages_dropped > 0
@@ -387,6 +396,29 @@ mod tests {
         );
         let clean = RunStats::default().to_string();
         assert!(!clean.contains("certificates"), "{clean}");
+    }
+
+    #[test]
+    fn memos_retired_merges_and_displays() {
+        let mut a = RunStats {
+            memos_retired: 4,
+            memos_dropped: 1,
+            ..Default::default()
+        };
+        let b = RunStats {
+            memos_retired: 3,
+            ..Default::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.memos_retired, 7);
+        assert_eq!(a.memos_dropped, 1, "retirement is not a rollback drop");
+        let line = a.to_string();
+        assert!(line.contains(" | 7 memos retired"), "{line}");
+        // finalize leaves the counter alone; cold runs print no clause.
+        a.finalize(Duration::from_millis(2), 1);
+        assert_eq!(a.memos_retired, 7);
+        let clean = RunStats::default().to_string();
+        assert!(!clean.contains("retired"), "{clean}");
     }
 
     #[test]

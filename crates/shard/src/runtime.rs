@@ -775,7 +775,8 @@ pub fn shard_smp_planned_opts(
 /// adopts the previous fixpoint's message store (every carried message
 /// re-checked for promotion against the current evidence and scorer),
 /// and each shard is seeded with its members' slice of the bank
-/// ([`WarmStart::withdraw`]) — only views that changed since the
+/// ([`WarmStart::withdraw`], which also retires every entry no shard's
+/// views claim) — only views that changed since the
 /// previous fixpoint start active, and bank hits replay instead of
 /// re-probing. At quiescence the store and memos flow back into `warm`
 /// for the next run. Only consulted for [`MmpConfig::incremental`] runs
@@ -797,17 +798,18 @@ pub fn shard_mmp_planned_opts(
         warm = None;
     }
     // Pre-partition the warm state by shard so each worker thread can
-    // take its slice without contending on the caller's bank.
-    let seeds: Vec<Mutex<Option<WarmSeed>>> = plan
-        .shards
-        .iter()
-        .map(|members| {
-            Mutex::new(
-                warm.as_deref_mut()
-                    .map(|warm| warm.withdraw(dataset, cover, members.iter().copied())),
-            )
-        })
-        .collect();
+    // take its slice without contending on the caller's bank; entries
+    // no shard's views claim are retired in the same withdrawal.
+    let mut coordinator_stats = RunStats::default();
+    let seeds: Vec<Mutex<Option<WarmSeed>>> = match warm.as_deref_mut() {
+        Some(warm) => {
+            let groups = plan.shards.iter().map(|members| members.iter().copied());
+            let (seeds, retired) = warm.withdraw(dataset, cover, groups);
+            coordinator_stats.memos_retired = retired;
+            seeds.into_iter().map(|s| Mutex::new(Some(s))).collect()
+        }
+        None => plan.shards.iter().map(|_| Mutex::new(None)).collect(),
+    };
     let collect_memos = warm.is_some();
     // One grounding shared read-only by every shard.
     let scorer = matcher.global_scorer(dataset);
@@ -829,7 +831,6 @@ pub fn shard_mmp_planned_opts(
         None => MessageStore::new(),
     };
     let mut dirty_messages: Vec<Pair> = store.roots();
-    let mut coordinator_stats = RunStats::default();
     let mut run = run_epochs(
         plan.shards.len(),
         evidence,
@@ -1346,10 +1347,14 @@ mod tests {
         let (ds, cover, matcher, expected) = paper_example();
         let index = DependencyIndex::build(&ds, &cover);
         let plan = ShardPlan::build(&index, 2, &estimate_costs(&ds, &cover), SplitPolicy::Split);
+        // The budget must be long enough that the healthy shard always
+        // answers within it on a loaded machine (a 2 ms budget declared
+        // both shards stalled about one run in three), and the delay
+        // ten times longer than the budget.
         let opts = RuntimeOptions {
-            fence_timeout: Duration::from_millis(2),
+            fence_timeout: Duration::from_millis(40),
             fence_retries: 0,
-            faults: crate::fault::FaultPlan::new().delay_response(0, 1, Duration::from_millis(100)),
+            faults: crate::fault::FaultPlan::new().delay_response(0, 1, Duration::from_millis(400)),
             check_invariants: false,
         };
         let (out, report) = shard_mmp_planned_opts(

@@ -480,8 +480,9 @@ pub fn encode_message_store(w: &mut Writer, store: &MessageStore) {
     }
 }
 
-/// Decode a message store by replaying `add_message` in root order —
-/// the same rebuild discipline `retain_messages` uses live.
+/// Decode a message store by replaying `add_message` over the encoded
+/// messages in their (sorted) order: each one re-forms one disjoint
+/// union-find tree, so the decoded store holds exactly those messages.
 pub fn decode_message_store(r: &mut Reader<'_>) -> Result<MessageStore> {
     let mut store = MessageStore::new();
     let n = r.len(8, "message store")?;

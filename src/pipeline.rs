@@ -804,6 +804,14 @@ impl MatchSession {
         &self.warm
     }
 
+    /// The warm state the next run withdraws from: the probe-memo and
+    /// certificate banks, the carried message store and the entity
+    /// floor. Read-only. Right after a run, both banks hold at most one
+    /// entry per neighborhood of [`MatchSession::cover`].
+    pub fn warm_start(&self) -> &WarmStart {
+        &self.warm_state
+    }
+
     /// The last fixpoint's match set, **borrowed** — the serving query
     /// path, which must not copy the match set per request. Identical
     /// to the `matches` field of the most recent
@@ -1115,9 +1123,16 @@ impl MatchSession {
                 // evidence reproduces its quiescent state; its messages
                 // are already in the carried store). The first run's
                 // empty bank misses everywhere, which degenerates to the
-                // cold full worklist.
+                // cold full worklist. Bank entries no current view
+                // claims are retired by the withdrawal.
+                let mut memos_retired = 0;
                 if self.mmp_config.incremental {
-                    driver.seed_warm(warm.withdraw(&self.dataset, &self.cover, self.cover.ids()));
+                    let (seeds, retired) =
+                        warm.withdraw(&self.dataset, &self.cover, [self.cover.ids()]);
+                    memos_retired = retired;
+                    for seed in seeds {
+                        driver.seed_warm(seed);
+                    }
                     driver.warm_store(std::mem::take(&mut warm.store));
                 }
                 driver.run(matcher, scorer.as_ref());
@@ -1126,7 +1141,9 @@ impl MatchSession {
                     driver.bank_memos(&mut warm.bank);
                     driver.bank_certificates(&mut warm.certs);
                 }
-                (driver.finish(start), BackendReport::Sequential)
+                let mut output = driver.finish(start);
+                output.stats.memos_retired += memos_retired;
+                (output, BackendReport::Sequential)
             }
             (scheme, Backend::Sharded { .. }) => {
                 let plan = self.plan.as_ref().expect("sharded sessions hold a plan");
@@ -1168,8 +1185,9 @@ impl MatchSession {
     /// One read-only sweep over everything the session owns: the
     /// dataset's candidate pairs and tuples, `evidence`, the carried
     /// message store and probe-memo bank, the blocking-score cache, the
-    /// warm-start entity floor, and — when a run's stats are at hand —
-    /// the probe ledger.
+    /// warm-start entity floor, and — after a run, when its stats are
+    /// at hand — the probe and certificate ledgers and the bank bound
+    /// (every banked entry keyed by a view of the current cover).
     fn sweep_invariants(&self, evidence: &Evidence, stats: Option<&RunStats>) -> InvariantReport {
         let mut checker = InvariantChecker::new(&self.dataset);
         checker.check_dataset();
@@ -1181,6 +1199,7 @@ impl MatchSession {
         if let Some(stats) = stats {
             checker.check_probe_ledger(stats);
             checker.check_certificate_ledger(stats);
+            checker.check_bank_bound(&self.cover, &self.warm_state.bank, &self.warm_state.certs);
         }
         checker.finish()
     }
@@ -1252,8 +1271,10 @@ impl MatchSession {
     /// * invalidated pairs leave the warm fixpoint (they are no longer
     ///   sound evidence);
     /// * carried maximal messages touching an invalidated pair are
-    ///   dropped, and the message store's union-find is **rebuilt from
-    ///   the retained messages** (un-merging is impossible);
+    ///   dropped in place
+    ///   ([`MessageStore::drop_messages_touching`](em_core::framework::MessageStore::drop_messages_touching):
+    ///   each is one whole union-find tree, found from an invalidated
+    ///   member), so the rollback costs the closure, not the store;
     /// * banked probe memos whose view contains a retracted entity, an
     ///   invalidated pair, or both endpoints of a retracted/added tuple
     ///   are evicted (their view identity may be unchanged while their
@@ -1317,11 +1338,11 @@ impl MatchSession {
         };
 
         // --- Phase 0: capture the old world's interaction structure ---
-        // (before any mutation: the seeds, their closure under the old
-        // scorer's ground adjacency, and the old evidence components).
+        // (before any mutation: the seeds and their closure under the old
+        // scorer's ground adjacency; the old evidence components are
+        // read from the pre-update index kept until phase 4).
         let mut seeds = PairSet::new();
         let mut old_closure = PairSet::new();
-        let mut old_component_of: FxHashMap<Pair, usize> = FxHashMap::default();
         let mut guard_tuples: Vec<(EntityId, EntityId)> = Vec::new();
         if perturbs_existing && rollback_capable {
             let seed_around = |ds: &Dataset, x: EntityId, seeds: &mut PairSet| {
@@ -1364,18 +1385,6 @@ impl MatchSession {
             let matcher = self.probabilistic();
             let scorer = matcher.global_scorer(&self.dataset);
             old_closure = flood_closure(&seeds, scorer.as_ref());
-            let components = self.index.evidence_components();
-            let mut component_of_nbhd = vec![usize::MAX; self.cover.len()];
-            for (ci, comp) in components.iter().enumerate() {
-                for id in comp {
-                    component_of_nbhd[id.index()] = ci;
-                }
-            }
-            for (pair, _) in self.dataset.candidate_pairs() {
-                if let Some(&first) = self.index.neighborhoods_of(pair).first() {
-                    old_component_of.insert(pair, component_of_nbhd[first.index()]);
-                }
-            }
         }
 
         // --- Phase 1: mutate the dataset ---
@@ -1526,8 +1535,13 @@ impl MatchSession {
         self.pending_blocking += block_start.elapsed();
 
         // --- Phase 3: rebuild the scheduling state ---
+        // The pre-update index lives on until the rollback has
+        // attributed its closure to the old evidence components.
         let plan_start = Instant::now();
-        self.index = DependencyIndex::build(&self.dataset, &self.cover);
+        let old_index = std::mem::replace(
+            &mut self.index,
+            DependencyIndex::build(&self.dataset, &self.cover),
+        );
         if let Backend::Sharded {
             shards,
             split_policy,
@@ -1615,7 +1629,7 @@ impl MatchSession {
                     &applied,
                     &invalid,
                     &gone,
-                    &old_component_of,
+                    &old_index,
                     &guard_tuples,
                     has_retractions,
                 );
@@ -1678,20 +1692,29 @@ impl MatchSession {
         applied: &crate::delta::AppliedDelta,
         invalid: &PairSet,
         gone: &FxHashSet<EntityId>,
-        old_component_of: &FxHashMap<Pair, usize>,
+        old_index: &DependencyIndex,
         guard_tuples: &[(EntityId, EntityId)],
         has_retractions: bool,
     ) {
         // Attribute the closure to (old) evidence components — the
-        // unit the rollback is reported and reasoned at. The drops
-        // below stay at pair/view granularity: probes factorize over
-        // ground components, which are *finer* than the
-        // neighborhood-level evidence components, so carried state
-        // outside the closure survives even inside a touched
-        // component.
+        // unit the rollback is reported and reasoned at. A pair belongs
+        // to the component of the first old neighborhood holding it;
+        // only the closure's pairs are looked up. The drops below stay
+        // at pair/view granularity: probes factorize over ground
+        // components, which are *finer* than the neighborhood-level
+        // evidence components, so carried state outside the closure
+        // survives even inside a touched component.
+        let components = old_index.evidence_components();
+        let mut component_of_nbhd = vec![usize::MAX; components.iter().map(Vec::len).sum()];
+        for (ci, comp) in components.iter().enumerate() {
+            for id in comp {
+                component_of_nbhd[id.index()] = ci;
+            }
+        }
         let touched: FxHashSet<usize> = invalid
             .iter()
-            .filter_map(|p| old_component_of.get(&p).copied())
+            .filter_map(|p| old_index.neighborhoods_of(p).first())
+            .map(|first| component_of_nbhd[first.index()])
             .collect();
         report.components_invalidated = touched.len() as u64;
 
@@ -1703,11 +1726,8 @@ impl MatchSession {
                 report.warm_matches_dropped += 1;
             }
         }
-        report.messages_dropped = self
-            .warm_state
-            .store
-            .retain_messages(|members| members.iter().all(|p| !invalid.contains(*p)))
-            as u64;
+        report.messages_dropped =
+            self.warm_state.store.drop_messages_touching(invalid.iter()) as u64;
         // Memos of views a retracted/added tuple ran *through* (both
         // endpoints members) are dropped — their probe results were
         // computed against ground structure that changed in place.
