@@ -151,8 +151,10 @@ impl Cover {
     }
 
     /// A [`crate::dataset::View`] of neighborhood `id` over `dataset`.
+    /// The member list is already sorted and deduplicated, so it is
+    /// copied, not re-sorted.
     pub fn view<'a>(&self, dataset: &'a Dataset, id: NeighborhoodId) -> crate::dataset::View<'a> {
-        dataset.view(self.members(id).iter().copied())
+        dataset.view_of_sorted(self.members(id).to_vec())
     }
 
     /// Check that the neighborhoods cover every *live* entity of the

@@ -12,6 +12,7 @@ use crate::entity::{EntityId, EntityStore};
 use crate::hash::FxHashMap;
 use crate::pair::{Pair, PairSet};
 use crate::relation::{RelationId, RelationStore};
+use std::sync::OnceLock;
 
 /// Discretized similarity level of a candidate pair (higher = more similar).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -205,6 +206,7 @@ impl Dataset {
             dataset: self,
             members,
             full,
+            sorted_pairs: OnceLock::new(),
         }
     }
 
@@ -214,10 +216,21 @@ impl Dataset {
         let mut members: Vec<EntityId> = members.into_iter().collect();
         members.sort_unstable();
         members.dedup();
+        self.view_of_sorted(members)
+    }
+
+    /// A view over a member list the caller already keeps sorted and
+    /// deduplicated (a [`crate::cover::Cover`]'s neighborhoods).
+    pub(crate) fn view_of_sorted(&self, members: Vec<EntityId>) -> View<'_> {
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "view members must be sorted and deduplicated"
+        );
         View {
             dataset: self,
             members,
             full: false,
+            sorted_pairs: OnceLock::new(),
         }
     }
 }
@@ -236,6 +249,8 @@ pub struct View<'a> {
     members: Vec<EntityId>,
     /// Fast path for the full dataset: membership is always true.
     full: bool,
+    /// [`View::sorted_candidate_pairs`], enumerated on first use.
+    sorted_pairs: OnceLock<Vec<(Pair, SimLevel)>>,
 }
 
 impl<'a> View<'a> {
@@ -296,6 +311,20 @@ impl<'a> View<'a> {
             }
         }
         out
+    }
+
+    /// [`View::candidate_pairs`] sorted by pair, enumerated and sorted
+    /// once per view: every reader of one evaluation (the driver's
+    /// active count, the undecided set, grounding, the memo bank's
+    /// identity check) shares this list.
+    pub fn sorted_candidate_pairs(&self) -> &[(Pair, SimLevel)] {
+        self.sorted_pairs.get_or_init(|| {
+            let mut pairs = self.candidate_pairs();
+            // Each pair is emitted once, so sorting by pair alone is a
+            // total order.
+            pairs.sort_unstable_by_key(|&(p, _)| p);
+            pairs
+        })
     }
 
     /// Restrict a pair set to pairs fully inside the view.

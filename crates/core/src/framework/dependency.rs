@@ -153,13 +153,33 @@ impl DependencyIndex {
     /// they refine [`DependencyIndex::overlap_components`] (sharing a
     /// pair implies sharing both its endpoints).
     pub fn evidence_components(&self) -> Vec<Vec<NeighborhoodId>> {
-        self.components_of(|parent| {
-            for ids in self.pair_index.values() {
-                for w in ids.windows(2) {
-                    union(parent, w[0].index(), w[1].index());
-                }
+        self.components_of(|parent| self.link_evidence(parent))
+    }
+
+    /// The number of distinct [`DependencyIndex::evidence_components`]
+    /// the neighborhoods `ids` fall in, counted over the union-find
+    /// roots without listing any component.
+    pub fn evidence_components_among(
+        &self,
+        ids: impl IntoIterator<Item = NeighborhoodId>,
+    ) -> usize {
+        let mut parent: Vec<usize> = (0..self.neighborhoods).collect();
+        self.link_evidence(&mut parent);
+        let mut roots: Vec<usize> = ids
+            .into_iter()
+            .map(|id| find(&mut parent, id.index()))
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots.len()
+    }
+
+    fn link_evidence(&self, parent: &mut [usize]) {
+        for ids in self.pair_index.values() {
+            for w in ids.windows(2) {
+                union(parent, w[0].index(), w[1].index());
             }
-        })
+        }
     }
 
     fn components_of(&self, link: impl FnOnce(&mut [usize])) -> Vec<Vec<NeighborhoodId>> {
@@ -390,6 +410,35 @@ mod tests {
                         "{pair} spans components"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn evidence_components_among_counts_the_listed_components() {
+        let (ds, cover) = overlapping_world();
+        let index = DependencyIndex::build(&ds, &cover);
+        let components = index.evidence_components();
+        let component_of = |id: NeighborhoodId| {
+            components
+                .iter()
+                .position(|c| c.contains(&id))
+                .expect("every neighborhood is in a component")
+        };
+        let all: Vec<NeighborhoodId> = cover.ids().collect();
+        assert_eq!(
+            index.evidence_components_among(all.clone()),
+            components.len()
+        );
+        assert_eq!(index.evidence_components_among([]), 0);
+        for &a in &all {
+            for &b in &all {
+                let distinct = if component_of(a) == component_of(b) {
+                    1
+                } else {
+                    2
+                };
+                assert_eq!(index.evidence_components_among([a, b, a]), distinct);
             }
         }
     }

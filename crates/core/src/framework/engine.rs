@@ -300,7 +300,7 @@ impl<'a> SmpDriver<'a> {
                 &dirty,
             );
             let undecided = view
-                .candidate_pairs()
+                .sorted_candidate_pairs()
                 .iter()
                 .filter(|(p, _)| !local_evidence.positive.contains(*p))
                 .count() as u64;
@@ -634,7 +634,7 @@ impl<'a> MmpDriver<'a> {
                 &dirty,
             );
             let undecided = view
-                .candidate_pairs()
+                .sorted_candidate_pairs()
                 .iter()
                 .filter(|(p, _)| !local_evidence.positive.contains(*p))
                 .count() as u64;

@@ -700,12 +700,10 @@ impl MemoBank {
     /// fresh deposit reflects the state the depositing run just
     /// reached).
     pub fn deposit(&mut self, view: &View<'_>, memo: ProbeMemo) {
-        let mut pairs = view.candidate_pairs();
-        pairs.sort_unstable();
         self.entries.insert(
             view.members().to_vec(),
             BankEntry {
-                pairs,
+                pairs: view.sorted_candidate_pairs().to_vec(),
                 memo,
                 tainted: false,
             },
@@ -726,12 +724,12 @@ impl MemoBank {
     /// here; a session retires them in [`WarmStart::withdraw`].
     pub fn withdraw(&mut self, view: &View<'_>) -> Option<ProbeMemo> {
         let entry = self.entries.remove(view.members())?;
-        let mut pairs = view.candidate_pairs();
-        pairs.sort_unstable();
-        (entry.pairs == pairs).then_some(entry.memo).map(|mut m| {
-            m.from_bank = true;
-            m
-        })
+        (entry.pairs == view.sorted_candidate_pairs())
+            .then_some(entry.memo)
+            .map(|mut m| {
+                m.from_bank = true;
+                m
+            })
     }
 
     /// Drop every banked entry whose view `predicate` marks as touched,
@@ -906,8 +904,7 @@ impl MemoBank {
             .filter(|e| e.0 < entity_floor)
             .collect();
         let entry = self.entries.remove(&old_members)?;
-        let mut pairs = view.candidate_pairs();
-        pairs.sort_unstable();
+        let pairs = view.sorted_candidate_pairs();
         let old_pairs: Vec<(Pair, crate::dataset::SimLevel)> = pairs
             .iter()
             .copied()
@@ -989,17 +986,14 @@ fn undecided_pairs(
     base: &PairSet,
     config: &MmpConfig,
 ) -> Vec<Pair> {
-    let mut undecided: Vec<Pair> = view
-        .candidate_pairs()
-        .into_iter()
-        .map(|(p, _)| p)
-        .filter(|p| {
-            !base.contains(*p) && !evidence.positive.contains(*p) && !evidence.negative.contains(*p)
+    view.sorted_candidate_pairs()
+        .iter()
+        .map(|&(p, _)| p)
+        .filter(|&p| {
+            !base.contains(p) && !evidence.positive.contains(p) && !evidence.negative.contains(p)
         })
-        .collect();
-    undecided.sort_unstable();
-    undecided.truncate(config.max_probes_per_neighborhood);
-    undecided
+        .take(config.max_probes_per_neighborhood)
+        .collect()
 }
 
 /// Flood-fill the undecided pairs whose ground-interaction component was

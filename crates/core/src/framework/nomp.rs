@@ -81,7 +81,7 @@ pub fn no_mp_evaluate(
         let view = cover.view(dataset, id);
         let local_evidence = by_entity.restrict(&view);
         let undecided = view
-            .candidate_pairs()
+            .sorted_candidate_pairs()
             .iter()
             .filter(|(p, _)| !local_evidence.positive.contains(*p))
             .count() as u64;

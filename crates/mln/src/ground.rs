@@ -92,18 +92,27 @@ fn witness_key(a: Pair, b: Pair) -> WitnessKey {
 /// Each view member's witness list is built once per relational rule
 /// and shared by every candidate pair containing the member.
 pub fn ground(model: &MlnModel, view: &View<'_>) -> GroundModel {
-    let candidate_pairs = view.candidate_pairs();
-    let mut vars: Vec<Pair> = candidate_pairs.iter().map(|&(p, _)| p).collect();
-    vars.sort_unstable();
+    ground_recording(model, view, |_, _, _| {})
+}
+
+/// [`ground`], reporting every reflexive-witness bonus to `on_bonus` as
+/// `(variable, witness, weight)` in grounding order.
+fn ground_recording(
+    model: &MlnModel,
+    view: &View<'_>,
+    mut on_bonus: impl FnMut(u32, EntityId, Score),
+) -> GroundModel {
+    let candidate_pairs = view.sorted_candidate_pairs();
+    let vars: Vec<Pair> = candidate_pairs.iter().map(|&(p, _)| p).collect();
     let index: FxHashMap<Pair, u32> = vars
         .iter()
         .enumerate()
         .map(|(i, &p)| (p, i as u32))
         .collect();
-    let mut unary = vec![Score::ZERO; vars.len()];
-    for &(p, level) in &candidate_pairs {
-        unary[index[&p] as usize] += model.sim_weight(level);
-    }
+    let mut unary: Vec<Score> = candidate_pairs
+        .iter()
+        .map(|&(_, level)| model.sim_weight(level))
+        .collect();
 
     let relations = &view.dataset().relations;
     let mut edges: Vec<GroundEdge> = Vec::new();
@@ -146,6 +155,7 @@ pub fn ground(model: &MlnModel, view: &View<'_>) -> GroundModel {
                         // Reflexive body atom equals(c, c): always true.
                         if seen_unary.insert((pv, rel.0, wkey)) {
                             unary[pv as usize] += rule.weight;
+                            on_bonus(pv, c1, rule.weight);
                         }
                         continue;
                     }
@@ -173,18 +183,177 @@ pub fn ground(model: &MlnModel, view: &View<'_>) -> GroundModel {
         }
     }
 
-    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); vars.len()];
-    for (ei, e) in edges.iter().enumerate() {
-        for &v in &e.vars {
-            incident[v as usize].push(ei as u32);
-        }
-    }
+    let incident = incident_lists(vars.len(), &edges);
     GroundModel {
         vars,
         index,
         unary,
         edges,
         incident,
+    }
+}
+
+/// Variable → ids of the edges incident to it, ascending.
+fn incident_lists(var_count: usize, edges: &[GroundEdge]) -> Vec<Vec<u32>> {
+    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); var_count];
+    for (ei, e) in edges.iter().enumerate() {
+        for &v in &e.vars {
+            incident[v as usize].push(ei as u32);
+        }
+    }
+    incident
+}
+
+/// The model grounded once over a whole dataset, kept in a form every
+/// view's ground model can be *restricted* from instead of re-derived
+/// (a materialized view over the dataset, read through a selection).
+///
+/// A view's grounding is a restriction of the global one:
+///
+/// * its variables are the global variables whose pair lies in the
+///   view (both endpoints members);
+/// * its edges are the global edges whose variables are all in the
+///   view — an edge's witnesses are the endpoints of its variables, so
+///   they are members too — in global edge order (the view grounds the
+///   same `(rule, head pair, witness)` sequence, minus what it cannot
+///   see, and deduplicates by the same keys);
+/// * its unary weight is the similar-rule weight and the self-witness
+///   bonus (the head pair's endpoints witness each other; both are
+///   members of every view holding the pair), plus each
+///   reflexive-witness bonus whose shared witness is a member.
+///
+/// So the global grounding records, per variable, its reflexive
+/// bonuses with their witness entity, and the rest of its unary
+/// weight. [`GlobalGround::restrict`] equals [`ground`] over the same
+/// view field by field, provided the dataset has not changed since
+/// [`GlobalGround::build`].
+#[derive(Debug, Clone)]
+pub struct GlobalGround {
+    /// The whole dataset's ground model.
+    model: GroundModel,
+    /// Per variable: the similar-rule weight plus its self-witness
+    /// bonuses — the part of its unary weight every view sees.
+    fixed_unary: Vec<Score>,
+    /// `bonus_start[v]..bonus_start[v + 1]` indexes variable `v`'s
+    /// reflexive-witness bonuses in `bonuses`.
+    bonus_start: Vec<u32>,
+    /// Reflexive-witness bonuses as `(witness, weight)`, grouped by
+    /// variable, in grounding order within a variable.
+    bonuses: Vec<(EntityId, Score)>,
+}
+
+impl GlobalGround {
+    /// Ground `model` over every live entity of `dataset`.
+    pub fn build(model: &MlnModel, dataset: &em_core::Dataset) -> Self {
+        let mut found: Vec<(u32, EntityId, Score)> = Vec::new();
+        let model = ground_recording(model, &dataset.full_view(), |v, c, w| {
+            found.push((v, c, w));
+        });
+        // Group the bonuses by variable; the stable sort keeps each
+        // variable's bonuses in grounding order.
+        found.sort_by_key(|&(v, _, _)| v);
+        let n = model.var_count();
+        let mut bonus_start = vec![0u32; n + 1];
+        let mut fixed_unary = model.unary.clone();
+        for &(v, _, w) in &found {
+            bonus_start[v as usize + 1] += 1;
+            fixed_unary[v as usize] = fixed_unary[v as usize] - w;
+        }
+        for v in 0..n {
+            bonus_start[v + 1] += bonus_start[v];
+        }
+        let bonuses = found.into_iter().map(|(_, c, w)| (c, w)).collect();
+        Self {
+            model,
+            fixed_unary,
+            bonus_start,
+            bonuses,
+        }
+    }
+
+    /// The whole dataset's ground model.
+    pub fn ground_model(&self) -> &GroundModel {
+        &self.model
+    }
+
+    fn bonuses_of(&self, v: u32) -> &[(EntityId, Score)] {
+        let v = v as usize;
+        &self.bonuses[self.bonus_start[v] as usize..self.bonus_start[v + 1] as usize]
+    }
+
+    /// The ground model of `view`, restricted from this one: equal to
+    /// [`ground`] over `view` when `view` is over the dataset this
+    /// grounding was built from, unchanged since.
+    ///
+    /// # Panics
+    /// Panics if a candidate pair of `view` is not a variable of this
+    /// grounding (the view's dataset is not the one grounded).
+    pub fn restrict(&self, view: &View<'_>) -> GroundModel {
+        let global = &self.model;
+        let candidate_pairs = view.sorted_candidate_pairs();
+        let vars: Vec<Pair> = candidate_pairs.iter().map(|&(p, _)| p).collect();
+        // Global variable of each view variable. Both sides are sorted
+        // by pair, so this list ascends too and a binary search maps a
+        // global variable back to its view variable.
+        let global_of: Vec<u32> = vars
+            .iter()
+            .map(|&p| {
+                global
+                    .var_of(p)
+                    .expect("view pair missing from the dataset's ground model")
+            })
+            .collect();
+        let unary: Vec<Score> = global_of
+            .iter()
+            .map(|&g| {
+                let mut u = self.fixed_unary[g as usize];
+                for &(c, w) in self.bonuses_of(g) {
+                    if view.contains(c) {
+                        u += w;
+                    }
+                }
+                u
+            })
+            .collect();
+        // Each global edge is visited once, from its lowest variable,
+        // and kept iff every one of its variables is in the view.
+        let mut kept: Vec<u32> = Vec::new();
+        for &g in &global_of {
+            for &ei in &global.incident[g as usize] {
+                let e = &global.edges[ei as usize];
+                if e.vars[0] == g && e.vars.iter().all(|u| global_of.binary_search(u).is_ok()) {
+                    kept.push(ei);
+                }
+            }
+        }
+        kept.sort_unstable();
+        let edges: Vec<GroundEdge> = kept
+            .iter()
+            .map(|&ei| {
+                let e = &global.edges[ei as usize];
+                GroundEdge {
+                    vars: e
+                        .vars
+                        .iter()
+                        .map(|u| global_of.binary_search(u).expect("kept edge") as u32)
+                        .collect(),
+                    weight: e.weight,
+                }
+            })
+            .collect();
+        let index: FxHashMap<Pair, u32> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i as u32))
+            .collect();
+        let incident = incident_lists(vars.len(), &edges);
+        GroundModel {
+            vars,
+            index,
+            unary,
+            edges,
+            incident,
+        }
     }
 }
 

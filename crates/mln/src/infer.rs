@@ -135,6 +135,33 @@ impl<'a> MapSolver<'a> {
     /// Reduce `gm` under `evidence`, split it into components and solve
     /// each one.
     pub fn new(gm: &'a GroundModel, evidence: &Evidence) -> Self {
+        let mut solver = Self::reduce(gm, evidence);
+        for comp in &solver.components {
+            for (&fi, selected) in comp.vars.iter().zip(comp.solve(None)) {
+                solver.base_selected[fi as usize] = selected;
+            }
+        }
+        solver
+    }
+
+    /// [`MapSolver::new`] without the base solves: `base` must be
+    /// [`solve_map`]`(gm, evidence)`, and its free variables are taken as
+    /// the base optimum. Probes then answer exactly as
+    /// [`MapSolver::new`]'s would, and building the solver runs no
+    /// max-flow — what a caller that already solved the base (MMP's
+    /// `COMPUTEMAXIMAL` after the evaluation's matcher call) saves.
+    pub fn from_base(gm: &'a GroundModel, evidence: &Evidence, base: &PairSet) -> Self {
+        let mut solver = Self::reduce(gm, evidence);
+        for (fi, &v) in solver.free.iter().enumerate() {
+            solver.base_selected[fi] = base.contains(gm.vars[v as usize]);
+        }
+        solver
+    }
+
+    /// Reduce `gm` under `evidence` and split it into components; the
+    /// base optimum is filled in only for uncoupled variables (selected
+    /// iff their profit is non-negative).
+    fn reduce(gm: &'a GroundModel, evidence: &Evidence) -> Self {
         let n = gm.var_count();
         let mut state = vec![State::Free; n];
         for (i, &p) in gm.vars.iter().enumerate() {
@@ -210,12 +237,7 @@ impl<'a> MapSolver<'a> {
             components[c].edges.push((vars, w));
         }
 
-        let mut base_selected: Vec<bool> = profit.iter().map(|&p| p >= Score::ZERO).collect();
-        for comp in &components {
-            for (&fi, selected) in comp.vars.iter().zip(comp.solve(None)) {
-                base_selected[fi as usize] = selected;
-            }
-        }
+        let base_selected: Vec<bool> = profit.iter().map(|&p| p >= Score::ZERO).collect();
 
         Self {
             gm,

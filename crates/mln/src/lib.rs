@@ -11,7 +11,9 @@
 //! Pipeline per matcher invocation:
 //!
 //! 1. [`ground()`] the model over the view (one variable per candidate
-//!    pair; deduplicated groundings following the paper's accounting);
+//!    pair; deduplicated groundings following the paper's accounting) —
+//!    or, while a global scorer over the view's dataset is alive,
+//!    restrict the scorer's whole-dataset [`GlobalGround`] to the view;
 //! 2. condition on the evidence (`V+` contracted, `V−` deleted);
 //! 3. solve MAP — exactly by max-weight closure / min-cut
 //!    ([`infer`], via the in-tree Dinic solver in [`maxflow`]), or
@@ -31,7 +33,7 @@ pub mod matcher;
 pub mod maxflow;
 pub mod model;
 
-pub use ground::{ground, GroundEdge, GroundModel};
+pub use ground::{ground, GlobalGround, GroundEdge, GroundModel};
 pub use infer::{solve_map, solve_map_brute_force, MapSolver};
 pub use learning::{features, learn_weights, PerceptronConfig};
 pub use local_search::{solve_local_search, LocalSearchParams};

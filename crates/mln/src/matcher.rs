@@ -7,7 +7,7 @@
 //! [`em_core::Matcher`] and [`em_core::ProbabilisticMatcher`], so every
 //! scheme — NO-MP, SMP, MMP — can drive it.
 
-use crate::ground::{ground, GroundModel};
+use crate::ground::{ground, GlobalGround, GroundModel};
 use crate::infer::{solve_map, MapSolver};
 use crate::local_search::{solve_local_search, solve_local_search_with_gap, LocalSearchParams};
 use crate::model::MlnModel;
@@ -15,7 +15,7 @@ use em_core::hash::FxHashMap;
 use em_core::{
     Dataset, Evidence, GlobalScorer, Matcher, Pair, PairSet, ProbabilisticMatcher, Score, View,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Which MAP solver the matcher uses.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,19 +29,46 @@ pub enum InferenceBackend {
 }
 
 /// A collective entity matcher backed by a Markov Logic Network.
+///
+/// Every evaluation needs its view's ground model. While a
+/// [`ProbabilisticMatcher::global_scorer`] of this matcher is alive,
+/// the model is *restricted* from the scorer's whole-dataset
+/// [`GlobalGround`] ([`GlobalGround::restrict`]) instead of grounded
+/// from the relations again; without one (NO-MP, SMP, learning, or a
+/// view over another dataset) it is grounded with [`ground`].
+///
+/// The matcher finds the live grounding through a [`Weak`] keyed by the
+/// dataset's address. That needs no invalidation: the scorer borrows
+/// the dataset immutably for its whole life and a view borrows it for
+/// the whole call, so a successful upgrade for the view's dataset
+/// address proves the dataset is the one grounded and has not changed
+/// since. (A scorer leaked with `mem::forget` would outlive its borrow
+/// and void that proof; scorers are dropped, never leaked.)
 #[derive(Debug)]
 pub struct MlnMatcher {
     model: MlnModel,
     backend: InferenceBackend,
-    /// Grounding cache. `COMPUTEMAXIMAL` calls the matcher once per
-    /// undecided pair *on the same view*; grounding is evidence-free, so
-    /// those probes can share one ground model. Keyed by `(dataset
-    /// address, members hash)`; bounded, cleared when full (the access
-    /// pattern is bursts of hits on a handful of views).
-    cache: Mutex<FxHashMap<(usize, u64), Arc<GroundModel>>>,
+    grounds: Mutex<Grounds>,
 }
 
-/// Cache entries kept before the cache is cleared wholesale.
+/// The matcher's grounding state, under one lock.
+#[derive(Debug, Default)]
+struct Grounds {
+    /// Ground models by `(dataset address, members hash)`. An
+    /// evaluation grounds its view in `match_view` and reads the same
+    /// model again in `probe_entailed` (or `probe_certificate`); across
+    /// evaluations the cache barely hits (0.4% of batch-dblp
+    /// evaluations even with unlimited capacity), so it is bounded and
+    /// cleared when full.
+    cache: FxHashMap<(usize, u64), Arc<GroundModel>>,
+    /// The grounding of the most recent global scorer, by dataset
+    /// address; dead once that scorer is dropped.
+    live: Option<(usize, Weak<GlobalGround>)>,
+}
+
+/// Cache entries kept before the cache is cleared wholesale: enough
+/// for the evaluations in flight (one per shard thread) to find their
+/// own model between `match_view` and the probes.
 const GROUND_CACHE_CAP: usize = 64;
 
 impl Clone for MlnMatcher {
@@ -49,7 +76,7 @@ impl Clone for MlnMatcher {
         Self {
             model: self.model.clone(),
             backend: self.backend,
-            cache: Mutex::new(FxHashMap::default()),
+            grounds: Mutex::default(),
         }
     }
 }
@@ -69,7 +96,7 @@ impl MlnMatcher {
         Self {
             model,
             backend: InferenceBackend::Exact,
-            cache: Mutex::new(FxHashMap::default()),
+            grounds: Mutex::default(),
         }
     }
 
@@ -79,7 +106,7 @@ impl MlnMatcher {
         Self {
             model,
             backend,
-            cache: Mutex::new(FxHashMap::default()),
+            grounds: Mutex::default(),
         }
     }
 
@@ -88,21 +115,35 @@ impl MlnMatcher {
         &self.model
     }
 
-    /// Ground the model over a view, through the cache.
+    /// Ground the model over a view, through the cache: restricted from
+    /// the live global grounding of the view's dataset if there is one,
+    /// grounded from scratch otherwise. Either way the result equals
+    /// [`ground`] over the view.
     pub fn ground_view(&self, view: &View<'_>) -> Arc<GroundModel> {
-        let key = (
-            view.dataset() as *const Dataset as usize,
-            Self::members_hash(view),
-        );
-        let mut cache = self.cache.lock().expect("cache lock");
-        if let Some(gm) = cache.get(&key) {
-            return Arc::clone(gm);
+        let address = view.dataset() as *const Dataset as usize;
+        let key = (address, Self::members_hash(view));
+        let live = {
+            let grounds = self.grounds.lock().expect("grounds lock");
+            if let Some(gm) = grounds.cache.get(&key) {
+                return Arc::clone(gm);
+            }
+            grounds
+                .live
+                .as_ref()
+                .filter(|(live_address, _)| *live_address == address)
+                .and_then(|(_, global)| global.upgrade())
+        };
+        // Grounded outside the lock, so concurrent shard threads do not
+        // queue behind each other's groundings.
+        let gm = Arc::new(match live {
+            Some(global) => global.restrict(view),
+            None => ground(&self.model, view),
+        });
+        let mut grounds = self.grounds.lock().expect("grounds lock");
+        if grounds.cache.len() >= GROUND_CACHE_CAP {
+            grounds.cache.clear();
         }
-        let gm = Arc::new(ground(&self.model, view));
-        if cache.len() >= GROUND_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&gm));
+        grounds.cache.insert(key, Arc::clone(&gm));
         gm
     }
 
@@ -132,10 +173,12 @@ impl Matcher for MlnMatcher {
     ) -> Vec<Vec<Pair>> {
         match &self.backend {
             InferenceBackend::Exact => {
-                // Shared grounding + one base solve; each probe re-solves
-                // only the probed pair's component of the reduced model.
+                // Shared grounding, and the caller's base as the base
+                // solution (the trait requires it to be this matcher's
+                // output, so no base max-flow runs again); each probe
+                // solves only the probed pair's component.
                 let gm = self.ground_view(view);
-                let solver = MapSolver::new(&gm, evidence);
+                let solver = MapSolver::from_base(&gm, evidence, base);
                 probes
                     .iter()
                     .map(|&p| {
@@ -198,8 +241,10 @@ impl Matcher for MlnMatcher {
         // The grounding cache is keyed by (dataset address, member hash);
         // a session that mutates its dataset in place (retraction, links
         // between existing entities) must evict it or identical member
-        // lists would replay pre-mutation ground models.
-        self.cache.lock().expect("cache lock").clear();
+        // lists would replay pre-mutation ground models. The live global
+        // grounding needs no eviction: a dataset cannot be mutated while
+        // the scorer holding it is alive.
+        self.grounds.lock().expect("grounds lock").cache.clear();
     }
 }
 
@@ -212,54 +257,54 @@ impl ProbabilisticMatcher for MlnMatcher {
         &'a self,
         dataset: &'a Dataset,
     ) -> Box<dyn GlobalScorer + Send + Sync + 'a> {
-        Box::new(MlnGlobalScorer {
-            gm: ground(&self.model, &dataset.full_view()),
-        })
+        let global = Arc::new(GlobalGround::build(&self.model, dataset));
+        self.grounds.lock().expect("grounds lock").live =
+            Some((dataset as *const Dataset as usize, Arc::downgrade(&global)));
+        Box::new(MlnGlobalScorer { global })
     }
 }
 
 /// Global score oracle: the model grounded once over the whole dataset,
-/// answering deltas through the incident-edge index.
+/// answering deltas through the incident-edge index. While it is alive,
+/// its matcher restricts view groundings from the same model.
 pub struct MlnGlobalScorer {
-    gm: GroundModel,
+    global: Arc<GlobalGround>,
 }
 
 impl MlnGlobalScorer {
     /// The underlying global ground model.
     pub fn ground_model(&self) -> &GroundModel {
-        &self.gm
+        self.global.ground_model()
     }
 }
 
 impl GlobalScorer for MlnGlobalScorer {
     fn delta(&self, base: &PairSet, added: &[Pair]) -> Score {
+        let gm = self.ground_model();
         let mut total = Score::ZERO;
         let mut added_vars: Vec<u32> = Vec::with_capacity(added.len());
         for &p in added {
             if base.contains(p) {
                 continue;
             }
-            if let Some(v) = self.gm.var_of(p) {
+            if let Some(v) = gm.var_of(p) {
                 added_vars.push(v);
-                total += self.gm.unary[v as usize];
+                total += gm.unary[v as usize];
             }
         }
         let in_new = |v: u32| {
-            let p = self.gm.vars[v as usize];
+            let p = gm.vars[v as usize];
             base.contains(p) || added_vars.contains(&v)
         };
         // Each edge incident to an added var is examined once.
         let mut seen_edges: em_core::hash::FxHashSet<u32> = em_core::hash::FxHashSet::default();
         for &v in &added_vars {
-            for &ei in &self.gm.incident[v as usize] {
+            for &ei in &gm.incident[v as usize] {
                 if !seen_edges.insert(ei) {
                     continue;
                 }
-                let e = &self.gm.edges[ei as usize];
-                let was_fired = e
-                    .vars
-                    .iter()
-                    .all(|&u| base.contains(self.gm.vars[u as usize]));
+                let e = &gm.edges[ei as usize];
+                let was_fired = e.vars.iter().all(|&u| base.contains(gm.vars[u as usize]));
                 if !was_fired && e.vars.iter().all(|&u| in_new(u)) {
                     total += e.weight;
                 }
@@ -269,18 +314,19 @@ impl GlobalScorer for MlnGlobalScorer {
     }
 
     fn score(&self, matches: &PairSet) -> Score {
-        self.gm.score_where(|p| matches.contains(p))
+        self.ground_model().score_where(|p| matches.contains(p))
     }
 
     fn affected_pairs(&self, pair: Pair) -> Vec<Pair> {
-        let Some(v) = self.gm.var_of(pair) else {
+        let gm = self.ground_model();
+        let Some(v) = gm.var_of(pair) else {
             return Vec::new();
         };
-        let mut out: Vec<Pair> = self.gm.incident[v as usize]
+        let mut out: Vec<Pair> = gm.incident[v as usize]
             .iter()
-            .flat_map(|&ei| self.gm.edges[ei as usize].vars.iter().copied())
+            .flat_map(|&ei| gm.edges[ei as usize].vars.iter().copied())
             .filter(|&u| u != v)
-            .map(|u| self.gm.vars[u as usize])
+            .map(|u| gm.vars[u as usize])
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -293,12 +339,13 @@ impl GlobalScorer for MlnGlobalScorer {
         // absolute value. A delta toggling this pair cannot move any
         // assignment's score by more than that, which is what makes the
         // sum a sound clause footprint for gap certificates.
-        let Some(v) = self.gm.var_of(pair) else {
+        let gm = self.ground_model();
+        let Some(v) = gm.var_of(pair) else {
             return Score::ZERO;
         };
-        let mut total = self.gm.unary[v as usize].0.abs();
-        for &ei in &self.gm.incident[v as usize] {
-            total = total.saturating_add(self.gm.edges[ei as usize].weight.0.abs());
+        let mut total = gm.unary[v as usize].0.abs();
+        for &ei in &gm.incident[v as usize] {
+            total = total.saturating_add(gm.edges[ei as usize].weight.0.abs());
         }
         Score(total)
     }

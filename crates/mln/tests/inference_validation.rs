@@ -150,6 +150,7 @@ proptest! {
             "scores differ: mincut {} vs brute {}", exact, brute
         );
         prop_assert_eq!(&exact, &brute, "maximal optima differ");
+        assert_from_base_probes_agree(&gm, &Evidence::none());
     }
 
     #[test]
@@ -168,6 +169,7 @@ proptest! {
         prop_assert_eq!(&exact, &brute);
         prop_assert!(exact.contains(vars[0]));
         prop_assert!(!exact.contains(vars[1]));
+        assert_from_base_probes_agree(&gm, &ev);
     }
 
     #[test]
@@ -377,6 +379,7 @@ fn hand_model(unary: &[i64], edges: &[(&[u32], i64)]) -> GroundModel {
 /// Negative-evidence variables are not probed: the brute force lets
 /// positive evidence win a conflict, the solver lets negative win.
 fn assert_probes_match_brute_force(gm: &GroundModel, evidence: &Evidence) {
+    assert_from_base_probes_agree(gm, evidence);
     let solver = MapSolver::new(gm, evidence);
     let base = solver.base_solution();
     assert_eq!(base, solve_map_brute_force(gm, evidence), "base solve");
@@ -386,6 +389,27 @@ fn assert_probes_match_brute_force(gm: &GroundModel, evidence: &Evidence) {
         let mut added: Vec<Pair> = brute.iter().filter(|&q| !base.contains(q)).collect();
         added.sort_unstable();
         assert_eq!(solver.probe_delta(p), added, "probe_delta {p}");
+    }
+}
+
+/// A solver built from `solve_map`'s base (what the matcher's probe
+/// path builds from the caller's base) must probe every free variable
+/// exactly as one that solves the base itself.
+fn assert_from_base_probes_agree(gm: &GroundModel, evidence: &Evidence) {
+    let solved = MapSolver::new(gm, evidence);
+    let base = solve_map(gm, evidence);
+    let from_base = MapSolver::from_base(gm, evidence, &base);
+    assert_eq!(from_base.base_solution(), base, "base solution");
+    let free = gm
+        .vars
+        .iter()
+        .filter(|&&p| !evidence.positive.contains(p) && !evidence.negative.contains(p));
+    for &p in free {
+        assert_eq!(
+            from_base.probe_delta(p),
+            solved.probe_delta(p),
+            "probe_delta {p} from the base"
+        );
     }
 }
 

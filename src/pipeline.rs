@@ -1704,19 +1704,11 @@ impl MatchSession {
         // components, which are *finer* than the neighborhood-level
         // evidence components, so carried state outside the closure
         // survives even inside a touched component.
-        let components = old_index.evidence_components();
-        let mut component_of_nbhd = vec![usize::MAX; components.iter().map(Vec::len).sum()];
-        for (ci, comp) in components.iter().enumerate() {
-            for id in comp {
-                component_of_nbhd[id.index()] = ci;
-            }
-        }
-        let touched: FxHashSet<usize> = invalid
-            .iter()
-            .filter_map(|p| old_index.neighborhoods_of(p).first())
-            .map(|first| component_of_nbhd[first.index()])
-            .collect();
-        report.components_invalidated = touched.len() as u64;
+        report.components_invalidated = old_index.evidence_components_among(
+            invalid
+                .iter()
+                .filter_map(|p| old_index.neighborhoods_of(p).first().copied()),
+        ) as u64;
 
         // Drop exactly the invalidated slice of carried state.
         if has_retractions {
